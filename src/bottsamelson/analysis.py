@@ -22,21 +22,22 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .bott import BottData, Word, all_sign_vectors, alpha_reflect, build_bott_data
-from .cech import CECH_MAX_DIM, cech_table, cech_weight
+from .bott import BottData, Word, _alpha, all_sign_vectors, build_bott_data
+from .cech import CECH_MAX_DIM, _cech_weight, cech_table
 from .errors import BottSamelsonError, BoxTooLarge, TooLarge
 from .rootsystem import GeneralizedCartanMatrix, cartan_of_type, validate_gcm
-from .simplicial import demazure_weight
+from .simplicial import _demazure_weight
 from .toric import (
     DEFAULT_BOX_CAP,
     DEFAULT_WITNESS_CAP,
     ToricDivisor,
-    classify_weight,
+    _checked_box,
+    _classify_weight,
     cohomology_table,
     demazure_table,
     weight_box,
 )
-from .vanishing import vanishing_report
+from .vanishing import _check_vanished, _vanishing_report, vanishing_report
 
 SCHEMA_VERSION = 1
 _INT64_MAX = 2**63 - 1
@@ -190,8 +191,8 @@ def _alpha_summary(bott: BottData) -> dict:
         for j in range(i + 1, n + 1):
             values = []
             for interior in all_sign_vectors(j - i - 1):
-                eps = (1,) * i + interior + (1,) * (n - j + 1)
-                values.append(alpha_reflect(bott, i, j, eps))
+                minus = tuple(k for k, s in enumerate(interior, start=i + 1) if s == -1)
+                values.append(_alpha(bott, i, j, minus))
             pairs.append({"i": i, "j": j, "min": min(values), "max": max(values)})
     return {
         "dimension": n,
@@ -258,11 +259,7 @@ def run_analyze(
             cap=cap,
             witness_cap=witness_cap,
         )
-        for i in report.vanished:
-            if table.dims[i] != 0:
-                raise AssertionError(
-                    f"claimed vanishing in degree {i} contradicts the toric table"
-                )
+        _check_vanished(report.vanished, table)
         doc["toric"] = _table_dict(table, collect_witnesses)
         if any(table.dims[i] for i in report.possible_window):
             doc["notes"].append(POSITIVITY_NOTE)
@@ -298,12 +295,10 @@ def run_weights(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
     """Per-weight dump over the weight box."""
     bott = spec.bott()
     divisor = spec.divisor()
-    box = weight_box(bott, divisor)
-    if box.num_points > cap:
-        raise BoxTooLarge(box.num_points, cap)
+    box = _checked_box(bott, divisor, cap)
     records = []
     for m in box.points():
-        cls = classify_weight(bott, divisor, m)
+        cls = _classify_weight(bott, divisor, m)
         rec = {"weight": list(m), "kind": cls.kind}
         if cls.degree is not None:
             rec["degree"] = cls.degree
@@ -328,7 +323,7 @@ def scan_records(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> Iterator[dict
         raise BoxTooLarge(volume, cap)
     bott = spec.bott()
     for a in product(*(range(lo, hi + 1) for lo, hi in spec.scan)):
-        report = vanishing_report(bott, a, with_toric=False)
+        report = _vanishing_report(bott, a)
         yield {
             "a": list(a),
             "vanished": list(report.vanished),
@@ -373,9 +368,9 @@ def run_oracle(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
     if not agree:
         box = weight_box(bott, divisor)
         for m in box.enlarged().points():
-            per_closed = classify_weight(bott, divisor, m).dims()
-            per_simplicial = demazure_weight(bott, divisor, m)
-            per_cech = cech_weight(bott, divisor, m)
+            per_closed = _classify_weight(bott, divisor, m).dims()
+            per_simplicial = _demazure_weight(bott, divisor, m)
+            per_cech = _cech_weight(bott, divisor, m)
             if not (per_closed == per_simplicial == per_cech):
                 doc["first_mismatch"] = {
                     "weight": list(m),

@@ -20,10 +20,9 @@ Positions i, j are 1-based; sign vectors are tuples of +1/-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .errors import IndexOutOfRange, NotStrictlyIncreasing
 from .rootsystem import GeneralizedCartanMatrix, pairing, reflect, simple_root
@@ -60,7 +59,8 @@ class BottData:
     """Frozen fan data for the Bott tower of a word.
 
     beta[i-1][j-1] holds <beta_i^vee, beta_j>; rays_plus and rays_minus hold
-    the ray lattice vectors, indexed by position.
+    the ray lattice vectors, indexed by position. The tower also carries the
+    alpha_ij^eps values computed so far, so they live and die with it.
     """
 
     gcm: GeneralizedCartanMatrix
@@ -68,6 +68,9 @@ class BottData:
     beta: Tuple[Tuple[int, ...], ...]
     rays_plus: Tuple[Tuple[int, ...], ...]
     rays_minus: Tuple[Tuple[int, ...], ...]
+    _alpha_memo: Dict[Tuple[int, int, Tuple[int, ...]], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def length(self) -> int:
@@ -154,13 +157,20 @@ def _check_coeffs(bott: BottData, a: Sequence[int], what: str = "coefficient") -
     return c
 
 
-@lru_cache(maxsize=None)
-def _alpha_reflect_cached(bott: BottData, i: int, j: int, minus: Tuple[int, ...]) -> int:
-    letters = bott.word.letters
-    gamma = simple_root(bott.gcm, letters[j - 1])
-    for k in reversed(minus):  # the factor with largest k acts first
-        gamma = reflect(bott.gcm, letters[k - 1], gamma)
-    return pairing(bott.gcm, letters[i - 1], gamma)
+def _alpha(bott: BottData, i: int, j: int, minus: Tuple[int, ...]) -> int:
+    """alpha_ij^eps from the increasing positions k in (i, j) with eps_k = -1.
+
+    Trusts its arguments: 1 <= i < j <= N and minus inside (i, j).
+    """
+    key = (i, j, minus)
+    value = bott._alpha_memo.get(key)
+    if value is None:
+        letters = bott.word.letters
+        gamma = simple_root(bott.gcm, letters[j - 1])
+        for k in reversed(minus):  # the factor with largest k acts first
+            gamma = reflect(bott.gcm, letters[k - 1], gamma)
+        value = bott._alpha_memo[key] = pairing(bott.gcm, letters[i - 1], gamma)
+    return value
 
 
 def alpha_reflect(bott: BottData, i: int, j: int, eps: Sequence[int]) -> int:
@@ -176,7 +186,7 @@ def alpha_reflect(bott: BottData, i: int, j: int, eps: Sequence[int]) -> int:
         raise NotStrictlyIncreasing(i, j)
     e = _check_signs(bott, eps)
     minus = tuple(k for k in range(i + 1, j) if e[k - 1] == -1)
-    return _alpha_reflect_cached(bott, i, j, minus)
+    return _alpha(bott, i, j, minus)
 
 
 def alpha_path(bott: BottData, i: int, j: int, eps: Sequence[int]) -> int:
@@ -210,12 +220,18 @@ def big_c(bott: BottData, a: Sequence[int], i: int, eps: Sequence[int]) -> int:
     Depends only on the suffix eps_{i+1}, ..., eps_N of the sign vector.
     """
     _check_position(bott, i)
-    coeffs = _check_coeffs(bott, a)
-    e = _check_signs(bott, eps)
-    total = coeffs[i - 1]
+    return _corner_sum(bott, _check_coeffs(bott, a), i, _check_signs(bott, eps))
+
+
+def _corner_sum(bott: BottData, a: Tuple[int, ...], i: int, eps: SignVector) -> int:
+    """C_i^eps for a checked a-vector, position and sign vector."""
+    total = a[i - 1]
+    minus: Tuple[int, ...] = ()
     for j in range(i + 1, bott.length + 1):
-        if e[j - 1] == 1:
-            total += alpha_reflect(bott, i, j, e) * coeffs[j - 1]
+        if eps[j - 1] == 1:
+            total += _alpha(bott, i, j, minus) * a[j - 1]
+        else:
+            minus += (j,)
     return total
 
 
@@ -284,11 +300,19 @@ def phi(bott: BottData, divisor: "ToricDivisor", m: Sequence[int], ray: Ray) -> 
     _check_position(bott, i)
     if s not in (1, -1):
         raise IndexOutOfRange("ray sign", s, "+1 or -1")
-    if s == 1:
-        return w[i - 1] + divisor.a[i - 1]
-    beta = bott.beta
-    N = bott.length
-    return -w[i - 1] - sum(beta[i - 1][j] * w[j] for j in range(i, N)) + divisor.b[i - 1]
+    up, down = _phi_values(bott, divisor, w)
+    return up[i - 1] if s == 1 else down[i - 1]
+
+
+def _phi_values(bott: BottData, divisor: "ToricDivisor", w: Weight) -> Tuple[List[int], List[int]]:
+    """phi_m on e_1^+, ..., e_N^+ and on e_1^-, ..., e_N^- for a checked weight."""
+    a, b, beta = divisor.a, divisor.b, bott.beta
+    n = bott.length
+    up = [w[i] + a[i] for i in range(n)]
+    down = [
+        b[i] - w[i] - sum(beta[i][j] * w[j] for j in range(i + 1, n)) for i in range(n)
+    ]
+    return up, down
 
 
 def maximal_cone_rows(bott: BottData, eps: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:

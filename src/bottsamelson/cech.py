@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .bott import BottData, SignVector, Weight, _check_coeffs, all_sign_vectors, phi
+from .bott import BottData, SignVector, Weight, _check_coeffs, _phi_values, all_sign_vectors
 from .errors import TooLarge
 from .linalg import sparse_rank
 from .simplicial import CohomologyDims
@@ -41,15 +41,26 @@ def _cone_mask(cone: SignVector) -> int:
     return mask
 
 
-def _bad_masks(bott: BottData, divisor: ToricDivisor, m: Sequence[int]) -> Tuple[int, int]:
+def _bad_masks(bott: BottData, divisor: ToricDivisor, w: Weight) -> Tuple[int, int]:
     """Bitmasks of indices whose upper / lower ray has phi_m < 0."""
     bad_plus = bad_minus = 0
-    for i in range(1, bott.length + 1):
-        if phi(bott, divisor, m, (i, 1)) < 0:
-            bad_plus |= 1 << (i - 1)
-        if phi(bott, divisor, m, (i, -1)) < 0:
-            bad_minus |= 1 << (i - 1)
+    for k, (up, down) in enumerate(zip(*_phi_values(bott, divisor, w))):
+        if up < 0:
+            bad_plus |= 1 << k
+        if down < 0:
+            bad_minus |= 1 << k
     return bad_plus, bad_minus
+
+
+def _agreement(masks: Sequence[int], n: int, subset: Iterable[int]) -> Tuple[int, int]:
+    """Bitmasks of the indices where every chart of the subset takes the
+    upper ray, and where every one takes the lower ray."""
+    full = (1 << n) - 1
+    agree_minus = agree_plus = full
+    for t in subset:
+        agree_minus &= masks[t]
+        agree_plus &= full ^ masks[t]
+    return agree_plus, agree_minus
 
 
 @dataclass(frozen=True)
@@ -67,11 +78,7 @@ class CechComplex:
 
     def common_rays(self, subset: Iterable[int]) -> Tuple[Tuple[int, int], ...]:
         """Rays shared by all charts of the subset (indices into cover)."""
-        full = (1 << self.n) - 1
-        agree_minus = agree_plus = full
-        for t in subset:
-            agree_minus &= self._masks[t]
-            agree_plus &= full ^ self._masks[t]
+        agree_plus, agree_minus = _agreement(self._masks, self.n, subset)
         rays = []
         for i in range(1, self.n + 1):
             if agree_plus >> (i - 1) & 1:
@@ -82,68 +89,51 @@ class CechComplex:
 
     def active(self, subset: Iterable[int]) -> bool:
         """Whether the weight has a section on the subset's intersection."""
-        full = (1 << self.n) - 1
-        agree_minus = agree_plus = full
-        for t in subset:
-            agree_minus &= self._masks[t]
-            agree_plus &= full ^ self._masks[t]
+        agree_plus, agree_minus = _agreement(self._masks, self.n, subset)
         return (agree_plus & self.bad_plus) == 0 and (agree_minus & self.bad_minus) == 0
 
     def dims(self) -> CohomologyDims:
         """Cohomology dimensions of the alternating Cech complex."""
-        return _alternating_complex_dims(self._masks, self.n, self.bad_plus, self.bad_minus)
+        count = len(self.cover)
+        active = self.active
+        active_by_size: Dict[int, set] = {}
+        for size in range(1, count + 1):
+            found = {s for s in combinations(range(count), size) if active(s)}
+            active_by_size[size] = found
 
+        top = max((size for size, found in active_by_size.items() if found), default=0)
+        ranks: Dict[int, int] = {}
+        for p in range(top):
+            sources = active_by_size.get(p + 1, ())
+            targets = active_by_size.get(p + 2, ())
+            cols: dict = {s: {} for s in sources}
+            for t in targets:
+                for k in range(len(t)):
+                    f = t[:k] + t[k + 1:]
+                    if f in sources:
+                        cols[f][t] = 1 if k % 2 == 0 else -1
+            hints = []
+            for s in sources:
+                if s[0] != 0:
+                    t = (0,) + s
+                    if t in targets:
+                        hints.append((t, s))
+            ranks[p] = sparse_rank(cols, pivot_hints=hints)
 
-def _alternating_complex_dims(
-    masks: Tuple[int, ...], n: int, bad_plus: int, bad_minus: int
-) -> CohomologyDims:
-    full = (1 << n) - 1
-    count = len(masks)
-
-    def active(subset: Tuple[int, ...]) -> bool:
-        agree_minus = agree_plus = full
-        for t in subset:
-            agree_minus &= masks[t]
-            agree_plus &= full ^ masks[t]
-        return (agree_plus & bad_plus) == 0 and (agree_minus & bad_minus) == 0
-
-    active_by_size: Dict[int, set] = {}
-    for size in range(1, count + 1):
-        found = {s for s in combinations(range(count), size) if active(s)}
-        active_by_size[size] = found
-
-    top = max((size for size, found in active_by_size.items() if found), default=0)
-    ranks: Dict[int, int] = {}
-    for p in range(top):
-        sources = active_by_size.get(p + 1, ())
-        targets = active_by_size.get(p + 2, ())
-        cols: dict = {s: {} for s in sources}
-        for t in targets:
-            for k in range(len(t)):
-                f = t[:k] + t[k + 1:]
-                if f in sources:
-                    cols[f][t] = 1 if k % 2 == 0 else -1
-        hints = []
-        for s in sources:
-            if s[0] != 0:
-                t = (0,) + s
-                if t in targets:
-                    hints.append((t, s))
-        ranks[p] = sparse_rank(cols, pivot_hints=hints)
-
-    dims: CohomologyDims = {}
-    for p in range(top):
-        h = len(active_by_size.get(p + 1, ())) - ranks.get(p, 0) - ranks.get(p - 1, 0)
-        if h:
-            dims[p] = h
-    return dims
+        dims: CohomologyDims = {}
+        for p in range(top):
+            h = len(active_by_size.get(p + 1, ())) - ranks.get(p, 0) - ranks.get(p - 1, 0)
+            if h:
+                dims[p] = h
+        return dims
 
 
 @lru_cache(maxsize=None)
 def _cech_pattern_dims(n: int, bad_plus: int, bad_minus: int) -> Tuple[Tuple[int, int], ...]:
-    masks = tuple(_cone_mask(c) for c in all_sign_vectors(n))
-    dims = _alternating_complex_dims(masks, n, bad_plus, bad_minus)
-    return tuple(sorted(dims.items()))
+    complex_ = CechComplex(
+        n=n, cover=all_sign_vectors(n), bad_plus=bad_plus, bad_minus=bad_minus
+    )
+    return tuple(sorted(complex_.dims().items()))
 
 
 def cech_weight(
@@ -161,10 +151,15 @@ def cech_weight(
     if n > CECH_MAX_DIM:
         raise TooLarge(n, CECH_MAX_DIM)
     w = _check_coeffs(bott, m, "weight")
-    bad_plus, bad_minus = _bad_masks(bott, divisor, w)
     if cover is None:
-        return dict(_cech_pattern_dims(n, bad_plus, bad_minus))
+        return _cech_weight(bott, divisor, w)
+    bad_plus, bad_minus = _bad_masks(bott, divisor, w)
     return CechComplex(n=n, cover=tuple(cover), bad_plus=bad_plus, bad_minus=bad_minus).dims()
+
+
+def _cech_weight(bott: BottData, divisor: ToricDivisor, w: Weight) -> CohomologyDims:
+    """cech_weight in the default chart order, for a checked weight and n <= 4."""
+    return dict(_cech_pattern_dims(bott.length, *_bad_masks(bott, divisor, w)))
 
 
 def cech_complex(bott: BottData, divisor: ToricDivisor, m: Sequence[int]) -> CechComplex:
@@ -190,13 +185,8 @@ def cech_table(
         raise TooLarge(n, CECH_MAX_DIM)
     box = _checked_box(bott, divisor, cap)
     dims = [0] * (n + 1)
-    for m in box.points():
-        for degree, h in cech_weight(bott, divisor, m).items():
-            if degree > n:
-                raise ValueError(f"impossible cohomology degree {degree} at weight {m}")
-            dims[degree] += h
-    for m in box.shell_points():
-        for degree, h in cech_weight(bott, divisor, m).items():
+    for m in chain(box.points(), box.shell_points()):
+        for degree, h in _cech_weight(bott, divisor, m).items():
             if degree > n:
                 raise ValueError(f"impossible cohomology degree {degree} at weight {m}")
             dims[degree] += h

@@ -9,8 +9,9 @@ for stdin):
   scan      vanishing reports over a grid of divisor coefficient vectors
   oracle    closed form vs simplicial vs Cech cross-check (N <= 4)
 
-Exit codes: 0 success, 2 invalid input, 3 over a capacity cap, 4 oracle
-mismatch. Output is human-readable text, or canonical JSON with --json.
+Exit codes: 0 success, 2 invalid input, 3 over a capacity cap, 4 two
+routes disagree (oracle mismatch, or a certified vanishing the toric table
+contradicts). Output is human-readable text, or canonical JSON with --json.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .analysis import (
     run_toric,
     run_weights,
 )
-from .errors import BottSamelsonError, BoxTooLarge, TooLarge
+from .errors import BottSamelsonError, BoxTooLarge, TooLarge, VanishingContradiction
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -53,6 +54,8 @@ def _guarded(fn):
         return fn()
     except (BoxTooLarge, TooLarge) as exc:
         _fail(str(exc), EXIT_CAPACITY)
+    except VanishingContradiction as exc:
+        _fail(str(exc), EXIT_MISMATCH)
     except BottSamelsonError as exc:
         _fail(str(exc), EXIT_INVALID)
 

@@ -79,3 +79,17 @@ class NotInPicardBasis(BottSamelsonError):
             "divisor has nonzero coefficients on the lower ray family; "
             "vanishing analysis works in the basis of upper-ray divisors only"
         )
+
+
+class VanishingContradiction(BottSamelsonError):
+    """A degree certified to vanish is nonzero in the exact toric table.
+
+    The certificates and the toric table are independent routes to the same
+    facts, so this signals a defect in one of them, never bad input.
+    """
+
+    def __init__(self, degree: int):
+        self.degree = degree
+        super().__init__(
+            f"claimed vanishing in degree {degree} contradicts the toric table"
+        )

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 
-from .bott import BottData, Ray, phi
+from .bott import BottData, Ray, Weight, _check_coeffs, _phi_values
 from .linalg import sparse_rank
 
 CohomologyDims = Dict[int, int]
@@ -120,12 +120,13 @@ def reduced_cohomology(sc: SimplicialComplex) -> CohomologyDims:
     return dims
 
 
-def _negative_rays(bott: BottData, divisor, m: Sequence[int]) -> Tuple[Ray, ...]:
+def _negative_rays(bott: BottData, divisor, w: Weight) -> Tuple[Ray, ...]:
     neg = []
-    for i in range(1, bott.length + 1):
-        for s in (1, -1):
-            if phi(bott, divisor, m, (i, s)) < 0:
-                neg.append((i, s))
+    for i, (up, down) in enumerate(zip(*_phi_values(bott, divisor, w)), start=1):
+        if up < 0:
+            neg.append((i, 1))
+        if down < 0:
+            neg.append((i, -1))
     return tuple(neg)
 
 
@@ -151,7 +152,7 @@ def sigma_m(bott: BottData, divisor, m: Sequence[int]) -> SimplicialComplex:
     both rays of any single index (exactly the ray sets spanning cones of
     the fan).
     """
-    return _complex_on_rays(_negative_rays(bott, divisor, m))
+    return _complex_on_rays(_negative_rays(bott, divisor, _check_coeffs(bott, m, "weight")))
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +168,11 @@ def demazure_weight(bott: BottData, divisor, m: Sequence[int]) -> CohomologyDims
     (i-1)-cohomology of Sigma_m. Results depend on m only through the set
     of negative rays, which is cached.
     """
-    neg = _negative_rays(bott, divisor, m)
+    return _demazure_weight(bott, divisor, _check_coeffs(bott, m, "weight"))
+
+
+def _demazure_weight(bott: BottData, divisor, w: Weight) -> CohomologyDims:
+    neg = _negative_rays(bott, divisor, w)
     if not neg:
         return {0: 1}
     return {p + 1: h for p, h in _demazure_pattern(neg)}

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .bott import BottData, Weight, _check_coeffs, phi
+from .bott import BottData, Weight, _check_coeffs, _phi_values
 from .errors import BoxTooLarge
-from .simplicial import CohomologyDims, demazure_weight
+from .simplicial import CohomologyDims, _demazure_weight
 
 ALL_ZERO = "all_zero"
 CONCENTRATED = "concentrated"
@@ -82,11 +82,12 @@ class WeightClassification:
 
 def classify_weight(bott: BottData, divisor: ToricDivisor, m: Sequence[int]) -> WeightClassification:
     """Closed-form classification of one weight from its 2N support signs."""
-    w = _check_coeffs(bott, m, "weight")
+    return _classify_weight(bott, divisor, _check_coeffs(bott, m, "weight"))
+
+
+def _classify_weight(bott: BottData, divisor: ToricDivisor, w: Weight) -> WeightClassification:
     degree = 0
-    for i in range(1, bott.length + 1):
-        up = phi(bott, divisor, w, (i, 1))
-        down = phi(bott, divisor, w, (i, -1))
+    for up, down in zip(*_phi_values(bott, divisor, w)):
         if (up < 0) != (down < 0):
             return WeightClassification(kind=ALL_ZERO)
         if up < 0:
@@ -180,7 +181,7 @@ class CohomologyTable:
             raise ValueError("Euler characteristic does not match dimensions")
 
 
-DEFAULT_BOX_CAP = 10**8
+DEFAULT_BOX_CAP = 2_000_000
 DEFAULT_WITNESS_CAP = 10**4
 
 
@@ -210,7 +211,7 @@ def cohomology_table(
     witnesses = [] if collect_witnesses else None
     truncated = False
     for m in box.points():
-        cls = classify_weight(bott, divisor, m)
+        cls = _classify_weight(bott, divisor, m)
         if cls.is_zero:
             continue
         dims[cls.degree] += 1
@@ -239,7 +240,7 @@ def demazure_table(
     n = bott.length
     dims = [0] * (n + 1)
     for m in box.points():
-        for degree, h in demazure_weight(bott, divisor, m).items():
+        for degree, h in _demazure_weight(bott, divisor, m).items():
             dims[degree] += h
     euler = sum(h if i % 2 == 0 else -h for i, h in enumerate(dims))
     return CohomologyTable(dims=tuple(dims), euler=euler)

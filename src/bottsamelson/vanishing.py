@@ -21,12 +21,12 @@ nonzero degrees entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .bott import BottData, all_sign_vectors, big_c, _check_coeffs
-from .errors import NotInPicardBasis
+from .bott import BottData, _check_coeffs, _corner_sum, all_sign_vectors
+from .errors import NotInPicardBasis, VanishingContradiction
 from .toric import CohomologyTable, DEFAULT_BOX_CAP, ToricDivisor, cohomology_table
 
 Eta = Tuple[int, ...]
@@ -68,14 +68,15 @@ def condition_profile(bott: BottData, a: Sequence[int]) -> ConditionProfile:
     The suffix enumeration is exhaustive (2^(N-i) sign choices at index i),
     so the flags are exact, not sampled.
     """
-    coeffs = _check_coeffs(bott, a)
+    return _condition_profile(bott, _check_coeffs(bott, a))
+
+
+def _condition_profile(bott: BottData, a: Tuple[int, ...]) -> ConditionProfile:
     n = bott.length
     c_min, c_max = [], []
     for i in range(1, n + 1):
-        values = []
-        for suffix in all_sign_vectors(n - i):
-            eps = (1,) * i + suffix
-            values.append(big_c(bott, coeffs, i, eps))
+        prefix = (1,) * i
+        values = [_corner_sum(bott, a, i, prefix + suffix) for suffix in all_sign_vectors(n - i)]
         c_min.append(min(values))
         c_max.append(max(values))
     return ConditionProfile(
@@ -178,23 +179,23 @@ def vanishing_report(
     table is attached and checked to vanish in every claimed degree.
     """
     a = _upper_coeffs(bott, divisor)
+    report = _vanishing_report(bott, a)
+    if not with_toric:
+        return report
+    toric = cohomology_table(bott, ToricDivisor.upper(a), cap=cap)
+    _check_vanished(report.vanished, toric)
+    return replace(report, toric=toric)
+
+
+def _vanishing_report(bott: BottData, a: Tuple[int, ...]) -> VanishingReport:
+    """vanishing_report without the toric table, for a checked a-vector."""
     n = bott.length
-    profile = condition_profile(bott, a)
+    profile = _condition_profile(bott, a)
     cert_minus, cert_plus = best_certificates(profile)
     vanished = sorted(set(cert_minus.vanished_degrees()) | set(cert_plus.vanished_degrees()))
     possible = tuple(i for i in range(n + 1) if i not in vanished)
     coverage = all(p or m for p, m in zip(profile.plus_ok, profile.minus_ok))
     single = possible[0] if coverage and len(possible) == 1 else None
-
-    toric = None
-    if with_toric:
-        toric = cohomology_table(bott, ToricDivisor.upper(a), cap=cap)
-        for i in vanished:
-            if toric.dims[i] != 0:
-                raise AssertionError(
-                    f"claimed vanishing in degree {i} contradicts the toric table"
-                )
-
     return VanishingReport(
         profile=profile,
         certificate_minus=cert_minus,
@@ -203,8 +204,15 @@ def vanishing_report(
         possible_window=possible,
         single_degree=single,
         everything_vanishes=not possible,
-        toric=toric,
     )
+
+
+def _check_vanished(vanished: Sequence[int], table: CohomologyTable) -> None:
+    """Raise VanishingContradiction at the first vanished degree that the
+    table says is nonzero."""
+    for i in vanished:
+        if table.dims[i] != 0:
+            raise VanishingContradiction(i)
 
 
 def check_toric_vanishing(
@@ -220,7 +228,7 @@ def check_toric_vanishing(
     certificate claims.
     """
     a = _upper_coeffs(bott, divisor)
-    profile = condition_profile(bott, a)
+    profile = _condition_profile(bott, a)
     e = tuple(int(s) for s in eta)
     if not is_admissible(profile, e):
         raise ValueError(f"certificate {e} is not admissible for this divisor")

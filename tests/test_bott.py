@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -14,9 +16,15 @@ from bottsamelson import (
     big_c,
     build_bott_data,
     cartan_of_type,
+    cech_complex,
+    cech_weight,
+    classify_weight,
+    condition_profile,
+    demazure_weight,
     det,
     maximal_cone_rows,
     phi,
+    sigma_m,
     signs,
     x_vector,
     x_vector_path,
@@ -214,3 +222,34 @@ def test_phi_rejects_bad_ray(rank3_tower):
 def test_eps_length_is_checked(rank3_tower):
     with pytest.raises(IndexOutOfRange):
         x_vector(rank3_tower, (0, 0, 0, 0), (1, 1))
+
+
+_D = ToricDivisor.upper((0, 0, 0, 0))
+_SHORT = (0, 0, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda bott: classify_weight(bott, _D, _SHORT),
+    lambda bott: demazure_weight(bott, _D, _SHORT),
+    lambda bott: sigma_m(bott, _D, _SHORT),
+    lambda bott: cech_weight(bott, _D, _SHORT),
+    lambda bott: cech_complex(bott, _D, _SHORT),
+    lambda bott: phi(bott, _D, _SHORT, (1, 1)),
+    lambda bott: big_c(bott, (0, 0, 0, 0), 1, (1, 1, 1)),
+    lambda bott: alpha_reflect(bott, 1, 3, (1, 1, 1)),
+    lambda bott: condition_profile(bott, _SHORT),
+], ids=["classify_weight", "demazure_weight", "sigma_m", "cech_weight", "cech_complex",
+        "phi", "big_c", "alpha_reflect", "condition_profile"])
+def test_public_entry_points_check_lengths(rank3_tower, call):
+    # the kernels behind these trust their input, so the check must stay here
+    with pytest.raises(IndexOutOfRange):
+        call(rank3_tower)
+
+
+def test_alpha_memo_is_freed_with_its_tower():
+    bott = build_bott_data(cartan_of_type("A", 3), Word((2, 1, 3, 2, 1)))
+    condition_profile(bott, (1, -2, 0, 3, -1))
+    ref = weakref.ref(bott)
+    del bott
+    gc.collect()
+    assert ref() is None

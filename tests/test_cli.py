@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 import bottsamelson
+import bottsamelson.analysis as analysis
 import bottsamelson.cli as cli
 
 PROBLEM_DOC = json.dumps({
@@ -105,6 +106,14 @@ def test_exit_code_for_capacity():
     assert result.exit_code == 3
 
 
+def test_default_cap_refuses_a_box_just_over_two_million_points():
+    # the weight box of O(2000000) on the line is [-2000000, 0]
+    big = json.dumps({"cartan": [[2]], "word": [1], "divisor": [2_000_000]})
+    result = run(["toric", "-"], stdin=big)
+    assert result.exit_code == 3
+    assert "2000001" in result.output
+
+
 def test_exit_code_for_oracle_mismatch(monkeypatch):
     # the honest computations always agree, so exercise the exit-code wiring
     # by stubbing the report the command renders
@@ -127,6 +136,16 @@ def test_exit_code_for_oracle_mismatch(monkeypatch):
     result = run(["oracle", "-"], stdin=LINE)
     assert result.exit_code == 4
     assert "MISMATCH" in result.output
+
+
+def test_exit_code_for_toric_contradiction(monkeypatch):
+    # O(-2) on the line certifies vanishing in degree 0; a table that is
+    # nonzero there must be reported as a disagreement, not a traceback
+    table = bottsamelson.CohomologyTable(dims=(1, 1), euler=0)
+    monkeypatch.setattr(analysis, "cohomology_table", lambda *args, **kwargs: table)
+    result = run(["analyze", "-"], stdin=LINE)
+    assert result.exit_code == 4
+    assert "error: claimed vanishing in degree 0" in result.output
 
 
 def test_big_integers_serialized_as_strings():
