@@ -22,10 +22,16 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .bott import BottData, Word, _alpha, all_sign_vectors, build_bott_data
+from .bott import BottData, Word, build_bott_data
 from .cech import CECH_MAX_DIM, _cech_weight, cech_table
 from .errors import BottSamelsonError, BoxTooLarge, TooLarge
-from .rootsystem import GeneralizedCartanMatrix, cartan_of_type, validate_gcm
+from .rootsystem import (
+    GeneralizedCartanMatrix,
+    _reflect_each,
+    cartan_of_type,
+    simple_root,
+    validate_gcm,
+)
 from .simplicial import _demazure_weight
 from .toric import (
     DEFAULT_BOX_CAP,
@@ -184,16 +190,27 @@ def load_problem(text: str) -> ProblemSpec:
 
 
 def _alpha_summary(bott: BottData) -> dict:
-    """Fan data plus the exact range of alpha_ij^eps over interior signs."""
-    n = bott.length
-    pairs = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            values = []
-            for interior in all_sign_vectors(j - i - 1):
-                minus = tuple(k for k, s in enumerate(interior, start=i + 1) if s == -1)
-                values.append(_alpha(bott, i, j, minus))
-            pairs.append({"i": i, "j": j, "min": min(values), "max": max(values)})
+    """Fan data plus the exact range of alpha_ij^eps over interior signs.
+
+    alpha_ij^eps pairs beta_i^vee with a product of the s_{beta_k}, k in
+    (i, j) with eps_k = -, applied to beta_j. For each j one sweep over
+    k = j-1 down to 1 keeps the deduplicated set of such images: the range
+    for (k, j) is read from the set, then s_{beta_k} of every member joins it.
+    """
+    letters, n = bott.word.letters, bott.length
+    ranges = {}
+    for j in range(2, n + 1):
+        reach = [simple_root(bott.gcm, letters[j - 1])]
+        for k in range(j - 1, 0, -1):
+            values, reflected = _reflect_each(bott.gcm, letters[k - 1], reach)
+            ranges[k, j] = min(values), max(values)
+            if k > 1:
+                reach = list(set(reach).union(reflected))
+    pairs = [
+        {"i": i, "j": j, "min": ranges[i, j][0], "max": ranges[i, j][1]}
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    ]
     return {
         "dimension": n,
         "beta": [list(row) for row in bott.beta],

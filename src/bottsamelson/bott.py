@@ -157,6 +157,11 @@ def _check_coeffs(bott: BottData, a: Sequence[int], what: str = "coefficient") -
     return c
 
 
+def _check_divisor(bott: BottData, divisor: "ToricDivisor") -> None:
+    if len(divisor.a) != bott.length:
+        raise IndexOutOfRange("divisor of length", len(divisor.a), bott.length)
+
+
 def _alpha(bott: BottData, i: int, j: int, minus: Tuple[int, ...]) -> int:
     """alpha_ij^eps from the increasing positions k in (i, j) with eps_k = -1.
 
@@ -220,16 +225,13 @@ def big_c(bott: BottData, a: Sequence[int], i: int, eps: Sequence[int]) -> int:
     Depends only on the suffix eps_{i+1}, ..., eps_N of the sign vector.
     """
     _check_position(bott, i)
-    return _corner_sum(bott, _check_coeffs(bott, a), i, _check_signs(bott, eps))
-
-
-def _corner_sum(bott: BottData, a: Tuple[int, ...], i: int, eps: SignVector) -> int:
-    """C_i^eps for a checked a-vector, position and sign vector."""
-    total = a[i - 1]
+    coeffs = _check_coeffs(bott, a)
+    e = _check_signs(bott, eps)
+    total = coeffs[i - 1]
     minus: Tuple[int, ...] = ()
     for j in range(i + 1, bott.length + 1):
-        if eps[j - 1] == 1:
-            total += _alpha(bott, i, j, minus) * a[j - 1]
+        if e[j - 1] == 1:
+            total += _alpha(bott, i, j, minus) * coeffs[j - 1]
         else:
             minus += (j,)
     return total
@@ -295,6 +297,7 @@ def phi(bott: BottData, divisor: "ToricDivisor", m: Sequence[int], ray: Ray) -> 
     The weight m contributes to cohomology only through the signs of these
     2N numbers.
     """
+    _check_divisor(bott, divisor)
     w = _check_coeffs(bott, m, "weight")
     i, s = ray
     _check_position(bott, i)

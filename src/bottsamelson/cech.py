@@ -23,7 +23,15 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .bott import BottData, SignVector, Weight, _check_coeffs, _phi_values, all_sign_vectors
+from .bott import (
+    BottData,
+    SignVector,
+    Weight,
+    _check_coeffs,
+    _check_divisor,
+    _phi_values,
+    all_sign_vectors,
+)
 from .errors import TooLarge
 from .linalg import sparse_rank
 from .simplicial import CohomologyDims
@@ -150,6 +158,7 @@ def cech_weight(
     n = bott.length
     if n > CECH_MAX_DIM:
         raise TooLarge(n, CECH_MAX_DIM)
+    _check_divisor(bott, divisor)
     w = _check_coeffs(bott, m, "weight")
     if cover is None:
         return _cech_weight(bott, divisor, w)
@@ -167,6 +176,7 @@ def cech_complex(bott: BottData, divisor: ToricDivisor, m: Sequence[int]) -> Cec
     n = bott.length
     if n > CECH_MAX_DIM:
         raise TooLarge(n, CECH_MAX_DIM)
+    _check_divisor(bott, divisor)
     w = _check_coeffs(bott, m, "weight")
     bad_plus, bad_minus = _bad_masks(bott, divisor, w)
     return CechComplex(n=n, cover=all_sign_vectors(n), bad_plus=bad_plus, bad_minus=bad_minus)

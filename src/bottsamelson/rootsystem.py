@@ -18,7 +18,8 @@ All simple-root indices in this module are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from operator import mul
+from typing import List, Sequence, Tuple
 
 from .errors import (
     DiagonalNotTwo,
@@ -134,3 +135,15 @@ def reflect(gcm: GeneralizedCartanMatrix, i: int, gamma: Sequence[int]) -> Root:
     g = _check_root(gcm, gamma)
     p = pairing(gcm, i, g)
     return tuple(c - p if j == i - 1 else c for j, c in enumerate(g))
+
+
+def _reflect_each(
+    gcm: GeneralizedCartanMatrix, i: int, vectors: Sequence[Root]
+) -> Tuple[List[int], List[Root]]:
+    """pairing and reflect for many vectors at once, trusting i and the vectors.
+
+    Returns the pairings <alpha_i^vee, v> and the images s_i(v), in order.
+    """
+    row, l = gcm.entries[i - 1], i - 1
+    values = [sum(map(mul, row, v)) for v in vectors]
+    return values, [v[:l] + (v[l] - p,) + v[l + 1:] for v, p in zip(vectors, values)]

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 
-from .bott import BottData, Ray, Weight, _check_coeffs, _phi_values
+from .bott import BottData, Ray, Weight, _check_coeffs, _check_divisor, _phi_values
 from .linalg import sparse_rank
 
 CohomologyDims = Dict[int, int]
@@ -152,10 +152,16 @@ def sigma_m(bott: BottData, divisor, m: Sequence[int]) -> SimplicialComplex:
     both rays of any single index (exactly the ray sets spanning cones of
     the fan).
     """
+    _check_divisor(bott, divisor)
     return _complex_on_rays(_negative_rays(bott, divisor, _check_coeffs(bott, m, "weight")))
 
 
-@lru_cache(maxsize=None)
+# Each index contributes one of 4 negative-ray sets, so 4^4 entries hold every
+# pattern of a tower with N <= 4, the dimensions the oracles are run at.
+_DEMAZURE_PATTERN_CACHE = 4**4
+
+
+@lru_cache(maxsize=_DEMAZURE_PATTERN_CACHE)
 def _demazure_pattern(neg: Tuple[Ray, ...]) -> Tuple[Tuple[int, int], ...]:
     dims = reduced_cohomology(_complex_on_rays(neg))
     return tuple(sorted(dims.items()))
@@ -168,6 +174,7 @@ def demazure_weight(bott: BottData, divisor, m: Sequence[int]) -> CohomologyDims
     (i-1)-cohomology of Sigma_m. Results depend on m only through the set
     of negative rays, which is cached.
     """
+    _check_divisor(bott, divisor)
     return _demazure_weight(bott, divisor, _check_coeffs(bott, m, "weight"))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .bott import BottData, Weight, _check_coeffs, _phi_values
+from .bott import BottData, Weight, _check_coeffs, _check_divisor, _phi_values
 from .errors import BoxTooLarge
 from .simplicial import CohomologyDims, _demazure_weight
 
@@ -82,6 +82,7 @@ class WeightClassification:
 
 def classify_weight(bott: BottData, divisor: ToricDivisor, m: Sequence[int]) -> WeightClassification:
     """Closed-form classification of one weight from its 2N support signs."""
+    _check_divisor(bott, divisor)
     return _classify_weight(bott, divisor, _check_coeffs(bott, m, "weight"))
 
 
@@ -146,6 +147,7 @@ def weight_box(bott: BottData, divisor: ToricDivisor) -> WeightBox:
     hull, and the corner weights x^eps (for b = 0) land on its endpoints,
     so the hull contains all of them.
     """
+    _check_divisor(bott, divisor)
     n = bott.length
     a, b = divisor.a, divisor.b
     beta = bott.beta
@@ -186,6 +188,7 @@ DEFAULT_WITNESS_CAP = 10**4
 
 
 def _checked_box(bott: BottData, divisor: ToricDivisor, cap: int) -> WeightBox:
+    """weight_box (which checks the divisor against the tower) within the cap."""
     box = weight_box(bott, divisor)
     volume = box.num_points
     if volume > cap:

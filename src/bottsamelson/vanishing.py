@@ -1,7 +1,13 @@
 """Vanishing certificates from the corner sums C_i^eps.
 
 For a divisor D = sum a_i Z_i in the upper-ray basis, each index i yields
-the finite value set {C_i^eps} over all sign suffixes. Two one-sided
+the finite value set {C_i^eps} over all sign suffixes. The value set is
+read off one downward sweep over the tower: C_i^eps = a_i + <beta_i^vee,
+lambda> where lambda runs over the root-lattice vectors reachable from 0
+by applying, for k = N down to i + 1, either lambda -> a_k beta_k + lambda
+(eps_k = +) or lambda -> s_{beta_k}(lambda) (eps_k = -). Distinct suffixes
+that reach the same lambda are merged, so the sweep holds at most
+min(2^(N-i), #reachable vectors) states at index i. Two one-sided
 conditions per index follow:
 
   * plus_ok(i):  every C_i^eps >= -1,
@@ -25,8 +31,9 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .bott import BottData, _check_coeffs, _corner_sum, all_sign_vectors
+from .bott import BottData, _check_coeffs
 from .errors import NotInPicardBasis, VanishingContradiction
+from .rootsystem import _reflect_each
 from .toric import CohomologyTable, DEFAULT_BOX_CAP, ToricDivisor, cohomology_table
 
 Eta = Tuple[int, ...]
@@ -63,22 +70,34 @@ class ConditionProfile:
 
 
 def condition_profile(bott: BottData, a: Sequence[int]) -> ConditionProfile:
-    """Enumerate C_i^eps over all suffixes and aggregate min, max and flags.
+    """Exact min and max of C_i^eps over all sign suffixes, with the flags.
 
-    The suffix enumeration is exhaustive (2^(N-i) sign choices at index i),
-    so the flags are exact, not sampled.
+    One sweep from index N down to 1 carries the set of reachable vectors
+    lambda (see the module docstring), deduplicated, so the cost grows with
+    the number of distinct reachable vectors rather than with the 2^(N-i)
+    suffixes; the flags are exact, not sampled. The set at index i never
+    exceeds 2^(N-i). In finite type each lambda is a sum of at most N - i
+    roots scaled by the a_k, so its coordinates are bounded and the set
+    grows at most polynomially in N (degree the rank); in affine and
+    indefinite type it can grow exponentially.
     """
     return _condition_profile(bott, _check_coeffs(bott, a))
 
 
 def _condition_profile(bott: BottData, a: Tuple[int, ...]) -> ConditionProfile:
-    n = bott.length
-    c_min, c_max = [], []
-    for i in range(1, n + 1):
-        prefix = (1,) * i
-        values = [_corner_sum(bott, a, i, prefix + suffix) for suffix in all_sign_vectors(n - i)]
-        c_min.append(min(values))
-        c_max.append(max(values))
+    letters, n = bott.word.letters, bott.length
+    c_min, c_max = [0] * n, [0] * n
+    reach = [(0,) * bott.gcm.n]
+    for i in range(n, 0, -1):
+        letter, a_i = letters[i - 1], a[i - 1]
+        values, reflected = _reflect_each(bott.gcm, letter, reach)
+        c_min[i - 1], c_max[i - 1] = a_i + min(values), a_i + max(values)
+        if i > 1:
+            # eps_i = +: lambda + a_i beta_i; eps_i = -: s_{beta_i}(lambda)
+            l = letter - 1
+            below = {lam[:l] + (lam[l] + a_i,) + lam[l + 1:] for lam in reach}
+            below.update(reflected)
+            reach = list(below)
     return ConditionProfile(
         c_min=tuple(c_min),
         c_max=tuple(c_max),

@@ -17,15 +17,19 @@ from bottsamelson import (
     build_bott_data,
     cartan_of_type,
     cech_complex,
+    cech_table,
     cech_weight,
     classify_weight,
+    cohomology_table,
     condition_profile,
+    demazure_table,
     demazure_weight,
     det,
     maximal_cone_rows,
     phi,
     sigma_m,
     signs,
+    weight_box,
     x_vector,
     x_vector_path,
 )
@@ -226,6 +230,23 @@ def test_eps_length_is_checked(rank3_tower):
 
 _D = ToricDivisor.upper((0, 0, 0, 0))
 _SHORT = (0, 0, 0)
+_W = (0, 0, 0, 0)
+_DIVISOR_CALLS = {
+    "weight_box": lambda bott, d: weight_box(bott, d),
+    "cohomology_table": lambda bott, d: cohomology_table(bott, d),
+    "demazure_table": lambda bott, d: demazure_table(bott, d),
+    "cech_table": lambda bott, d: cech_table(bott, d),
+    "classify_weight": lambda bott, d: classify_weight(bott, d, _W),
+    "demazure_weight": lambda bott, d: demazure_weight(bott, d, _W),
+    "sigma_m": lambda bott, d: sigma_m(bott, d, _W),
+    "cech_weight": lambda bott, d: cech_weight(bott, d, _W),
+    "cech_complex": lambda bott, d: cech_complex(bott, d, _W),
+    "phi": lambda bott, d: phi(bott, d, _W, (1, 1)),
+}
+_DIVISORS = {
+    "short_divisor": ToricDivisor.upper((0, 0)),
+    "long_divisor": ToricDivisor.upper((0, 0, 0, 0, 0, 7)),
+}
 
 
 @pytest.mark.parametrize("call", [
@@ -238,8 +259,13 @@ _SHORT = (0, 0, 0)
     lambda bott: big_c(bott, (0, 0, 0, 0), 1, (1, 1, 1)),
     lambda bott: alpha_reflect(bott, 1, 3, (1, 1, 1)),
     lambda bott: condition_profile(bott, _SHORT),
+] + [
+    lambda bott, f=f, d=d: f(bott, d)
+    for f in _DIVISOR_CALLS.values() for d in _DIVISORS.values()
 ], ids=["classify_weight", "demazure_weight", "sigma_m", "cech_weight", "cech_complex",
-        "phi", "big_c", "alpha_reflect", "condition_profile"])
+        "phi", "big_c", "alpha_reflect", "condition_profile"] + [
+    f"{name}-{kind}" for name in _DIVISOR_CALLS for kind in _DIVISORS
+])
 def test_public_entry_points_check_lengths(rank3_tower, call):
     # the kernels behind these trust their input, so the check must stay here
     with pytest.raises(IndexOutOfRange):

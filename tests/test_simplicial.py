@@ -12,6 +12,7 @@ from bottsamelson import (
     reduced_cohomology,
     sigma_m,
 )
+from bottsamelson.simplicial import _demazure_pattern
 
 # vertices in these tests reuse the (index, sign) ray style
 V1, V2, V3, V4 = (1, 1), (1, -1), (2, 1), (2, -1)
@@ -172,3 +173,11 @@ def test_shape_four_cycle():
 
 def test_demazure_weight_empty_sigma_means_degree_zero():
     assert demazure_weight(SL3, ToricDivisor.upper((0, 0)), (0, 0)) == {0: 1}
+
+
+def test_demazure_pattern_cache_is_bounded():
+    # keyed on negative-ray sets, 4^N of them per tower: an unbounded cache
+    # grows for the life of the process
+    maxsize = _demazure_pattern.cache_info().maxsize
+    assert maxsize is not None
+    assert maxsize >= 4**3  # every N <= 3 pattern stays warm

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -9,16 +10,19 @@ from bottsamelson import (
     VanishingCertificate,
     Word,
     admissible_etas,
+    all_sign_vectors,
     alpha_path,
     best_certificates,
+    big_c,
     build_bott_data,
     cartan_of_type,
     check_toric_vanishing,
     condition_profile,
     is_admissible,
+    validate_gcm,
     vanishing_report,
 )
-from conftest import random_coeffs, random_instance
+from conftest import random_coeffs, random_instance, random_word
 
 SL3 = build_bott_data(cartan_of_type("A", 2), Word((1, 2)))
 
@@ -64,6 +68,24 @@ def test_profile_matches_independent_enumeration():
                 values.add(c)
             assert profile.c_min[i - 1] == min(values)
             assert profile.c_max[i - 1] == max(values)
+
+
+@pytest.mark.parametrize("gcm", [
+    cartan_of_type("A", 3),
+    validate_gcm([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]]),
+], ids=["A3", "indefinite_rank3"])
+def test_profile_at_length_20_stays_fast_and_exact(gcm):
+    # 2^19 suffixes at index 1: enumerating them takes minutes
+    rng = random.Random(20)
+    n = 20
+    bott = build_bott_data(gcm, random_word(rng, gcm.n, n))
+    a = random_coeffs(rng, n, 3)
+    start = time.perf_counter()
+    profile = condition_profile(bott, a)
+    assert time.perf_counter() - start < 5.0
+    for i in range(n - 7, n + 1):
+        values = [big_c(bott, a, i, (1,) * i + s) for s in all_sign_vectors(n - i)]
+        assert (profile.c_min[i - 1], profile.c_max[i - 1]) == (min(values), max(values))
 
 
 def test_certificate_degree_arithmetic():
