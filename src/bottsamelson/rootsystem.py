@@ -140,7 +140,7 @@ def reflect(gcm: GeneralizedCartanMatrix, i: int, gamma: Sequence[int]) -> Root:
 def _reflect_each(
     gcm: GeneralizedCartanMatrix, i: int, vectors: Sequence[Root]
 ) -> Tuple[List[int], List[Root]]:
-    """pairing and reflect for many vectors at once, trusting i and the vectors.
+    """Batch form of pairing and reflect that trusts i and the vectors.
 
     Returns the pairings <alpha_i^vee, v> and the images s_i(v), in order.
     """

@@ -5,9 +5,9 @@ the finite value set {C_i^eps} over all sign suffixes. The value set is
 read off one downward sweep over the tower: C_i^eps = a_i + <beta_i^vee,
 lambda> where lambda runs over the root-lattice vectors reachable from 0
 by applying, for k = N down to i + 1, either lambda -> a_k beta_k + lambda
-(eps_k = +) or lambda -> s_{beta_k}(lambda) (eps_k = -). Distinct suffixes
-that reach the same lambda are merged, so the sweep holds at most
-min(2^(N-i), #reachable vectors) states at index i. Two one-sided
+(eps_k = +) or lambda -> s_{beta_k}(lambda) (eps_k = -). Suffixes that
+reach the same lambda are merged, so the set at index i never outgrows
+the 2^(N-i) suffixes and is usually far smaller. Two one-sided
 conditions per index follow:
 
   * plus_ok(i):  every C_i^eps >= -1,

@@ -6,7 +6,7 @@ Derandomized, so the examples are the same on every run.
 
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from bottsamelson import (
