@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .bott import BottData, Word, build_bott_data
@@ -43,7 +43,7 @@ from .toric import (
     demazure_table,
     weight_box,
 )
-from .vanishing import _check_vanished, _vanishing_report, vanishing_report
+from .vanishing import _check_vanished, _grid_bounds, _verdict, vanishing_report
 
 SCHEMA_VERSION = 1
 _INT64_MAX = 2**63 - 1
@@ -330,7 +330,13 @@ def run_weights(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
 
 
 def scan_records(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> Iterator[dict]:
-    """Stream vanishing reports over a grid of a-vectors, in lex order."""
+    """Stream vanishing reports over a grid of a-vectors, in lex order.
+
+    One sweep over the grid's distinct suffixes gives every point's
+    condition bounds (see vanishing._sweep_bounds), so the cost grows with
+    the suffixes and their reachable vectors, not with the grid volume
+    times the reachable vectors.
+    """
     if spec.scan is None:
         raise ProblemError("the scan command needs a 'scan' entry with ranges")
     volume = 1
@@ -338,14 +344,13 @@ def scan_records(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> Iterator[dict
         volume *= hi - lo + 1
     if volume > cap:
         raise BoxTooLarge(volume, cap)
-    bott = spec.bott()
-    for a in product(*(range(lo, hi + 1) for lo, hi in spec.scan)):
-        report = _vanishing_report(bott, a)
+    for a, c_min, c_max in _grid_bounds(spec.bott(), spec.scan):
+        verdict = _verdict(c_min, c_max)
         yield {
             "a": list(a),
-            "vanished": list(report.vanished),
-            "single_degree": report.single_degree,
-            "everything_vanishes": report.everything_vanishes,
+            "vanished": list(verdict.vanished),
+            "single_degree": verdict.single_degree,
+            "everything_vanishes": verdict.everything_vanishes,
         }
 
 
@@ -399,19 +404,52 @@ def run_oracle(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
     return doc
 
 
-def _stringify_big_ints(value):
-    """Recursively turn integers beyond 64-bit range into decimal strings."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value) if abs(value) > _INT64_MAX else value
-    if isinstance(value, dict):
-        return {k: _stringify_big_ints(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_stringify_big_ints(v) for v in value]
-    return value
-
-
 def report_json(doc: dict) -> str:
-    """Canonical JSON rendering: sorted keys, big integers as strings."""
-    return json.dumps(_stringify_big_ints(doc), sort_keys=True, indent=2)
+    """Canonical JSON rendering: sorted keys, big integers as strings.
+
+    The same text as json.dumps(doc, sort_keys=True, indent=2) once every
+    int beyond the signed 64-bit range is replaced by its decimal string,
+    written directly: with an indent, json.dumps takes its pure-Python
+    encoder.
+    """
+    return _render(doc, "\n")
+
+
+def _render(value, newline: str) -> str:
+    """JSON text of value, its nested lines starting with newline."""
+    kind = type(value)
+    if kind is int:
+        return repr(value) if -_INT64_MAX <= value <= _INT64_MAX else f'"{value}"'
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k if type(k) is str else _key(k)) + ": " + _render(v, inner)
+            for k, v in sorted(value.items())
+        ]) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        # 64-bit ints, most items of most reports, are written without a call
+        return "[" + inner + ("," + inner).join([
+            repr(v) if type(v) is int and -_INT64_MAX <= v <= _INT64_MAX else _render(v, inner)
+            for v in value
+        ]) + newline + "]"
+    return json.dumps(value)
+
+
+def _key(key) -> str:
+    """A dict key as json.dumps writes it: str, int, float, bool or None."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

@@ -7,8 +7,10 @@ lambda> where lambda runs over the root-lattice vectors reachable from 0
 by applying, for k = N down to i + 1, either lambda -> a_k beta_k + lambda
 (eps_k = +) or lambda -> s_{beta_k}(lambda) (eps_k = -). Suffixes that
 reach the same lambda are merged, so the set at index i never outgrows
-the 2^(N-i) suffixes and is usually far smaller. Two one-sided
-conditions per index follow:
+the 2^(N-i) suffixes and is usually far smaller. The same sweep serves a
+whole grid of a-vectors: C_i depends on a only through a_i and the suffix
+(a_{i+1}, ..., a_N), so the sweep visits each distinct suffix once. Two
+one-sided conditions per index follow:
 
   * plus_ok(i):  every C_i^eps >= -1,
   * minus_ok(i): every C_i^eps <= -1.
@@ -29,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterator, Optional, Sequence, Tuple
+from operator import mul, or_
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bott import BottData, _check_coeffs
 from .errors import NotInPicardBasis, VanishingContradiction
@@ -37,6 +40,7 @@ from .rootsystem import _reflect_each
 from .toric import CohomologyTable, DEFAULT_BOX_CAP, ToricDivisor, cohomology_table
 
 Eta = Tuple[int, ...]
+Range = Tuple[int, int]
 
 
 def _upper_coeffs(bott: BottData, divisor) -> Tuple[int, ...]:
@@ -85,25 +89,116 @@ def condition_profile(bott: BottData, a: Sequence[int]) -> ConditionProfile:
 
 
 def _condition_profile(bott: BottData, a: Tuple[int, ...]) -> ConditionProfile:
-    letters, n = bott.word.letters, bott.length
-    c_min, c_max = [0] * n, [0] * n
-    reach = [(0,) * bott.gcm.n]
-    for i in range(n, 0, -1):
-        letter, a_i = letters[i - 1], a[i - 1]
-        values, reflected = _reflect_each(bott.gcm, letter, reach)
-        c_min[i - 1], c_max[i - 1] = a_i + min(values), a_i + max(values)
-        if i > 1:
-            # eps_i = +: lambda + a_i beta_i; eps_i = -: s_{beta_i}(lambda)
-            l = letter - 1
-            below = {lam[:l] + (lam[l] + a_i,) + lam[l + 1:] for lam in reach}
-            below.update(reflected)
-            reach = list(below)
-    return ConditionProfile(
-        c_min=tuple(c_min),
-        c_max=tuple(c_max),
-        plus_ok=tuple(v >= -1 for v in c_min),
-        minus_ok=tuple(v <= -1 for v in c_max),
-    )
+    """condition_profile for a checked a-vector."""
+    return _vanishing_report(bott, a).profile
+
+
+def _sweep_bounds(bott: BottData, ranges: Sequence[Range]) -> List[List[Tuple[int, int]]]:
+    """Pairing bounds for every suffix of a grid of a-vectors, a_i in ranges[i-1].
+
+    tables[i-1][k] is (min, max) of <beta_i^vee, lambda> over the vectors
+    lambda reachable from 0 along the k-th suffix (a_{i+1}, ..., a_N) of the
+    grid, suffixes numbered in lexicographic order; then C_i^eps runs over
+    a_i plus that interval. A depth-first walk over the suffixes, with an
+    explicit stack so the depth N is not bounded by Python's recursion
+    limit, keeps one deduplicated reach set per suffix on the current path.
+    The bounds of a suffix one index lower are read off its parent's set:
+    pairing with beta_{i-1}^vee is linear, so min and max over
+    {lambda + a_i beta_i} and {s_{beta_i}(lambda)} need no new set. So
+    sets are built for index 2 and up only, and each table holds at most
+    V / (w_1 ... w_i) entries for a grid of volume V and range widths w.
+    """
+    gcm, letters, n = bott.gcm, bott.word.letters, bott.length
+    counts = _suffix_counts(ranges)
+    tables: List[List[Tuple[int, int]]] = [[(0, 0)] * count for count in counts]
+    stack: list = []
+    p, k, reach = n - 1, 0, [(0,) * gcm.n]  # 0-based position of index i = p + 1
+    while True:
+        if p > 0:
+            letter = letters[p]
+            values, reflected = _reflect_each(gcm, letter, reach)
+            row = gcm.entries[letters[p - 1] - 1]
+            coupling = row[letter - 1]
+            kept = [sum(map(mul, row, v)) for v in reach]
+            turned = [x - coupling * y for x, y in zip(kept, values)]
+            k_lo, k_hi, t_lo, t_hi = min(kept), max(kept), min(turned), max(turned)
+            lo, hi = ranges[p]
+            table, step = tables[p - 1], counts[p]
+            for a_p in range(lo, hi + 1):
+                shift = coupling * a_p
+                table[(a_p - lo) * step + k] = (min(k_lo + shift, t_lo), max(k_hi + shift, t_hi))
+            if p > 1:
+                stack.append([p, k, reach, reflected, lo])
+        if not stack:
+            return tables
+        # next child of the deepest open suffix; a finished suffix leaves the
+        # stack before its last child is built, so width-1 ranges hold one set
+        frame = stack[-1]
+        q, k, parent, reflected, a_q = frame
+        lo, hi = ranges[q]
+        if a_q == hi:
+            stack.pop()
+        else:
+            frame[4] = a_q + 1
+        # eps = +: lambda + a_q beta_q; eps = -: s_{beta_q}(lambda)
+        l = letters[q] - 1
+        below = {lam[:l] + (lam[l] + a_q,) + lam[l + 1:] for lam in parent}
+        below.update(reflected)
+        p, k, reach = q - 1, (a_q - lo) * counts[q] + k, list(below)
+
+
+def _suffix_counts(ranges: Sequence[Range]) -> List[int]:
+    """counts[p]: the number of suffixes (a_{p+2}, ..., a_N) of the grid."""
+    counts = [1] * len(ranges)
+    for p in range(len(ranges) - 1, 0, -1):
+        lo, hi = ranges[p]
+        counts[p - 1] = counts[p] * (hi - lo + 1)
+    return counts
+
+
+def _grid_bounds(
+    bott: BottData, ranges: Sequence[Range]
+) -> Iterator[Tuple[Tuple[int, ...], List[int], List[int]]]:
+    """(a, c_min, c_max) for every a in the grid, in lexicographic order."""
+    tables = _sweep_bounds(bott, ranges)
+    counts = _suffix_counts(ranges)
+    positions = range(len(ranges) - 1, -1, -1)
+    for a in product(*(range(lo, hi + 1) for lo, hi in ranges)):
+        c_min, c_max = list(a), list(a)
+        k = 0
+        for p in positions:
+            lo, hi = tables[p][k]
+            c_min[p] += lo
+            c_max[p] += hi
+            k += (a[p] - ranges[p][0]) * counts[p]
+        yield a, c_min, c_max
+
+
+class _Verdict(NamedTuple):
+    plus_ok: Tuple[bool, ...]
+    minus_ok: Tuple[bool, ...]
+    vanished: Tuple[int, ...]
+    possible_window: Tuple[int, ...]
+    single_degree: Optional[int]
+    everything_vanishes: bool
+
+
+def _verdict(c_min: Sequence[int], c_max: Sequence[int]) -> _Verdict:
+    """Flags and conclusions from the per-index bounds of C_i^eps.
+
+    The two extreme certificates take every allowed minus and every allowed
+    plus sign, so degrees below the minus count and above N minus the plus
+    count vanish. single_degree is reported only when every index carries a
+    flag and exactly one degree survives.
+    """
+    n = len(c_min)
+    plus_ok = tuple(v >= -1 for v in c_min)
+    minus_ok = tuple(v <= -1 for v in c_max)
+    low, high = sum(minus_ok), n + 1 - sum(plus_ok)
+    possible = tuple(range(low, high))
+    vanished = tuple(d for d in range(n + 1) if d < low or d >= high)
+    single = possible[0] if len(possible) == 1 and all(map(or_, plus_ok, minus_ok)) else None
+    return _Verdict(plus_ok, minus_ok, vanished, possible, single, not possible)
 
 
 @dataclass(frozen=True)
@@ -207,22 +302,25 @@ def vanishing_report(
 
 
 def _vanishing_report(bott: BottData, a: Tuple[int, ...]) -> VanishingReport:
-    """vanishing_report without the toric table, for a checked a-vector."""
-    n = bott.length
-    profile = _condition_profile(bott, a)
+    """vanishing_report without the toric table, for a checked a-vector:
+    the grid sweep over the single point a."""
+    ((_, c_min, c_max),) = _grid_bounds(bott, tuple((v, v) for v in a))
+    verdict = _verdict(c_min, c_max)
+    profile = ConditionProfile(
+        c_min=tuple(c_min),
+        c_max=tuple(c_max),
+        plus_ok=verdict.plus_ok,
+        minus_ok=verdict.minus_ok,
+    )
     cert_minus, cert_plus = best_certificates(profile)
-    vanished = sorted(set(cert_minus.vanished_degrees()) | set(cert_plus.vanished_degrees()))
-    possible = tuple(i for i in range(n + 1) if i not in vanished)
-    coverage = all(p or m for p, m in zip(profile.plus_ok, profile.minus_ok))
-    single = possible[0] if coverage and len(possible) == 1 else None
     return VanishingReport(
         profile=profile,
         certificate_minus=cert_minus,
         certificate_plus=cert_plus,
-        vanished=tuple(vanished),
-        possible_window=possible,
-        single_degree=single,
-        everything_vanishes=not possible,
+        vanished=verdict.vanished,
+        possible_window=verdict.possible_window,
+        single_degree=verdict.single_degree,
+        everything_vanishes=verdict.everything_vanishes,
     )
 
 

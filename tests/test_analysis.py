@@ -6,6 +6,7 @@ from bottsamelson import (
     BottSamelsonError,
     BoxTooLarge,
     ProblemError,
+    build_bott_data,
     cartan_of_type,
     load_problem,
     parse_problem,
@@ -15,6 +16,7 @@ from bottsamelson import (
     run_scan,
     run_toric,
     run_weights,
+    vanishing_report,
 )
 
 BASE_DOC = {
@@ -124,6 +126,35 @@ def test_big_integers_become_decimal_strings():
     assert parsed["schema"] == 1
 
 
+def test_scan_of_big_integers_renders_them_as_decimal_strings():
+    huge = 2**70
+    spec = parse_problem({
+        "cartan": {"type": "A", "rank": 2},
+        "word": [1, 2],
+        "scan": [[huge, huge + 1], [-huge - 1, -huge]],
+    })
+    doc = run_scan(spec)
+    parsed = json.loads(report_json(doc))
+    assert [rec["a"] for rec in parsed["records"]] == [
+        [str(a1), str(a2)] for a1 in (huge, huge + 1) for a2 in (-huge - 1, -huge)
+    ]
+    bott = build_bott_data(spec.gcm, spec.word)
+    for rec in doc["records"]:
+        rep = vanishing_report(bott, tuple(rec["a"]), with_toric=False)
+        assert rec["vanished"] == list(rep.vanished)
+        assert rec["single_degree"] == rep.single_degree
+        assert rec["everything_vanishes"] == rep.everything_vanishes
+
+
+def test_report_json_refuses_what_json_refuses():
+    with pytest.raises(TypeError):
+        report_json({"x": object()})
+    with pytest.raises(TypeError):
+        report_json({(1, 2): 0})
+    with pytest.raises(TypeError):
+        report_json({"a": 1, 2: 1})
+
+
 def test_scan_matches_individual_reports():
     spec = parse_problem({
         "cartan": {"type": "A", "rank": 2},
@@ -134,7 +165,6 @@ def test_scan_matches_individual_reports():
     assert len(doc["records"]) == 9
     assert doc["records"][0]["a"] == [-2, -1]
     assert doc["records"][-1]["a"] == [0, 1]
-    from bottsamelson import build_bott_data, vanishing_report
     bott = build_bott_data(spec.gcm, spec.word)
     for rec in doc["records"]:
         rep = vanishing_report(bott, tuple(rec["a"]), with_toric=False)

@@ -1,13 +1,18 @@
-"""Property tests: the reachable-root sweeps against enumeration, and Serre
-duality of the toric table, over finite, affine and indefinite matrices.
+"""Property tests: the reachable-root sweeps against enumeration, scan
+records against single-point reports, and Serre duality of the toric
+table, over finite, affine and indefinite matrices; and report_json against
+json.dumps.
 
 Derandomized, so the examples are the same on every run.
 """
 
+import json
+from itertools import product
+
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bottsamelson import (
     ToricDivisor,
@@ -18,7 +23,11 @@ from bottsamelson import (
     cartan_of_type,
     cohomology_table,
     condition_profile,
+    parse_problem,
+    report_json,
+    run_scan,
     validate_gcm,
+    vanishing_report,
     weight_box,
 )
 from bottsamelson.analysis import _alpha_summary
@@ -36,6 +45,7 @@ MATRICES = {
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 BOX_POINTS = 4000
+INT64_MAX = 2**63 - 1
 
 
 @st.composite
@@ -87,3 +97,93 @@ def test_serre_duality_of_the_toric_table(data):
     assume(weight_box(bott, dual).num_points <= BOX_POINTS)
     dims = cohomology_table(bott, divisor).dims
     assert cohomology_table(bott, dual).dims == dims[::-1]
+
+
+@st.composite
+def scan_ranges(draw, n, max_volume=200):
+    """One [lo, hi] per index: width-1 ranges, negative lo, and at most one
+    range near +-2^70."""
+    big = draw(st.integers(-1, n - 1))
+    ranges, volume = [], 1
+    for k in range(n):
+        width = draw(st.integers(1, max(1, min(3, max_volume // volume))))
+        volume *= width
+        if k == big:
+            lo = draw(st.sampled_from([2**70, -(2**70)])) + draw(st.integers(-2, 2))
+        else:
+            lo = draw(st.integers(-4, 3))
+        ranges.append([lo, lo + width - 1])
+    return ranges
+
+
+@PROPERTY
+@given(st.data())
+def test_scan_records_equal_single_point_reports(data):
+    bott = data.draw(towers(max_length=7))
+    ranges = data.draw(scan_ranges(bott.length))
+    spec = parse_problem({
+        "cartan": {"matrix": [list(row) for row in bott.gcm.entries]},
+        "word": list(bott.word.letters),
+        "scan": ranges,
+    })
+    records = run_scan(spec)["records"]
+    grid = product(*(range(lo, hi + 1) for lo, hi in ranges))
+    assert [rec["a"] for rec in records] == [list(a) for a in grid]
+    for rec in records:
+        report = vanishing_report(bott, rec["a"], with_toric=False)
+        assert rec == {
+            "a": rec["a"],
+            "vanished": list(report.vanished),
+            "single_degree": report.single_degree,
+            "everything_vanishes": report.everything_vanishes,
+        }
+
+
+def _stringify_big_ints(value):
+    """Reference for report_json: turn integers beyond 64-bit range into
+    decimal strings, recursively, before json.dumps."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return str(value) if abs(value) > INT64_MAX else value
+    if isinstance(value, dict):
+        return {k: _stringify_big_ints(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_stringify_big_ints(v) for v in value]
+    return value
+
+
+EDGE_INTS = [INT64_MAX, -INT64_MAX, INT64_MAX + 1, -INT64_MAX - 1, 2**70, -(2**70)]
+EDGE_TEXT = ['"quoted"', "back\\slash", "\x00\x1f\n\t\x7f", "é ü 漢字 😀", ""]
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from(EDGE_INTS),
+    st.floats(),
+    st.text(),
+    st.sampled_from(EDGE_TEXT),
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.sampled_from(EDGE_TEXT)), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@PROPERTY
+@given(json_documents)
+@example({})
+@example([])
+@example(())
+@example({"empty": [{}, [], ()], "flags": [True, False, None, 0, 1]})
+@example(EDGE_INTS)
+@example({text: text for text in EDGE_TEXT})
+def test_report_json_equals_json_dumps_of_stringified_ints(doc):
+    expected = json.dumps(_stringify_big_ints(doc), sort_keys=True, indent=2)
+    assert report_json(doc) == expected

@@ -19,6 +19,8 @@ from bottsamelson import (
     check_toric_vanishing,
     condition_profile,
     is_admissible,
+    parse_problem,
+    run_scan,
     validate_gcm,
     vanishing_report,
 )
@@ -86,6 +88,25 @@ def test_profile_at_length_20_stays_fast_and_exact(gcm):
     for i in range(n - 7, n + 1):
         values = [big_c(bott, a, i, (1,) * i + s) for s in all_sign_vectors(n - i)]
         assert (profile.c_min[i - 1], profile.c_max[i - 1]) == (min(values), max(values))
+
+
+def test_sweep_depth_is_not_bounded_by_the_recursion_limit():
+    # N = 1200 is past Python's default recursion limit of 1000
+    n = 1200
+    bott = build_bott_data(cartan_of_type("A", 1), Word((1,) * n))
+    profile = condition_profile(bott, (0,) * n)
+    assert profile.c_min == profile.c_max == (0,) * n
+    (record,) = run_scan(parse_problem({
+        "cartan": {"type": "A", "rank": 1},
+        "word": [1] * n,
+        "scan": [[0, 0]] * n,
+    }))["records"]
+    assert record == {
+        "a": [0] * n,
+        "vanished": list(range(1, n + 1)),
+        "single_degree": 0,
+        "everything_vanishes": False,
+    }
 
 
 def test_certificate_degree_arithmetic():
