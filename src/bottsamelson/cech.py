@@ -5,23 +5,29 @@ the complexes Sigma_m. The smooth tower is covered by the 2^N affine charts
 of its maximal cones. The intersection of any set of charts is the chart of
 the cone spanned by their common rays (the rays on whose index every
 participating sign vector agrees), so a weight m has a section on that
-intersection exactly when phi_m >= 0 on each common ray. Feeding these
-activity booleans into the alternating Cech complex and taking exact ranks
-with the shared elimination kernel yields the per-weight cohomology.
+intersection exactly when phi_m >= 0 on each common ray. The alternating
+Cech complex has one generator per active chart subset.
 
 Activity is monotone: enlarging a chart subset shrinks the intersection,
-drops common rays, and so weakens the section condition. That upward
-closure makes the pairing with a fixed first chart a supply of unit pivots,
-which keeps the exact rank computation fast even for the 2^16 chart subsets
-at N = 4. N > 4 is refused outright.
+drops common rays, and so weakens the section condition. So the inactive
+subsets form a simplicial complex K on the charts, and the Cech complex is
+the relative cochain complex of the pair (full simplex, K). The long exact
+sequence of that pair gives h^p = reduced h^(p-1)(K) when K is nonempty,
+and a single global section when every subset is active. K is downward
+closed, so a depth-first search that only extends inactive subsets visits
+K alone, never the 2^(2^N) subsets of the cover. N > 4 is refused outright.
+
+K is built from chart-subset activity only. The nerve theorem would
+collapse it onto Sigma_m, which would make this route a copy of the
+simplicial one; it is deliberately not used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .bott import (
     BottData,
@@ -32,9 +38,8 @@ from .bott import (
     _phi_values,
     all_sign_vectors,
 )
-from .errors import TooLarge
-from .linalg import sparse_rank
-from .simplicial import CohomologyDims
+from .errors import IndexOutOfRange, TooLarge
+from .simplicial import CohomologyDims, SimplicialComplex, reduced_cohomology
 from .toric import CohomologyTable, DEFAULT_BOX_CAP, ToricDivisor, _checked_box
 
 CECH_MAX_DIM = 4
@@ -101,39 +106,25 @@ class CechComplex:
         return (agree_plus & self.bad_plus) == 0 and (agree_minus & self.bad_minus) == 0
 
     def dims(self) -> CohomologyDims:
-        """Cohomology dimensions of the alternating Cech complex."""
+        """Cohomology dimensions of the alternating Cech complex, read off
+        the complex K of inactive chart subsets (see the module docstring)."""
         count = len(self.cover)
-        active = self.active
-        active_by_size: Dict[int, set] = {}
-        for size in range(1, count + 1):
-            found = {s for s in combinations(range(count), size) if active(s)}
-            active_by_size[size] = found
-
-        top = max((size for size, found in active_by_size.items() if found), default=0)
-        ranks: Dict[int, int] = {}
-        for p in range(top):
-            sources = active_by_size.get(p + 1, ())
-            targets = active_by_size.get(p + 2, ())
-            cols: dict = {s: {} for s in sources}
-            for t in targets:
-                for k in range(len(t)):
-                    f = t[:k] + t[k + 1:]
-                    if f in sources:
-                        cols[f][t] = 1 if k % 2 == 0 else -1
-            hints = []
-            for s in sources:
-                if s[0] != 0:
-                    t = (0,) + s
-                    if t in targets:
-                        hints.append((t, s))
-            ranks[p] = sparse_rank(cols, pivot_hints=hints)
-
-        dims: CohomologyDims = {}
-        for p in range(top):
-            h = len(active_by_size.get(p + 1, ())) - ranks.get(p, 0) - ranks.get(p - 1, 0)
-            if h:
-                dims[p] = h
-        return dims
+        inactive = []
+        stack = [()]
+        while stack:
+            subset = stack.pop()
+            for t in range(subset[-1] + 1 if subset else 0, count):
+                grown = subset + (t,)
+                if not self.active(grown):
+                    inactive.append(grown)
+                    stack.append(grown)
+        if not inactive:
+            return {0: 1}
+        k = SimplicialComplex(
+            vertices=tuple(s[0] for s in inactive if len(s) == 1),
+            faces=frozenset(map(frozenset, inactive)) | {frozenset()},
+        )
+        return {p + 1: h for p, h in reduced_cohomology(k).items()}
 
 
 @lru_cache(maxsize=None)
@@ -152,8 +143,9 @@ def cech_weight(
 ) -> CohomologyDims:
     """Per-weight cohomology dimensions from the alternating Cech complex.
 
-    cover overrides the default chart ordering (the dimensions must not
-    depend on it; passing a permutation bypasses the pattern cache).
+    cover overrides the default chart ordering. It must list every sign
+    vector of length N exactly once (the dimensions must not depend on the
+    order; passing a permutation bypasses the pattern cache).
     """
     n = bott.length
     if n > CECH_MAX_DIM:
@@ -162,8 +154,11 @@ def cech_weight(
     w = _check_coeffs(bott, m, "weight")
     if cover is None:
         return _cech_weight(bott, divisor, w)
+    cover = tuple(map(tuple, cover))
+    if sorted(cover) != sorted(all_sign_vectors(n)):
+        raise IndexOutOfRange("cover", cover, f"the orderings of all_sign_vectors({n})")
     bad_plus, bad_minus = _bad_masks(bott, divisor, w)
-    return CechComplex(n=n, cover=tuple(cover), bad_plus=bad_plus, bad_minus=bad_minus).dims()
+    return CechComplex(n=n, cover=cover, bad_plus=bad_plus, bad_minus=bad_minus).dims()
 
 
 def _cech_weight(bott: BottData, divisor: ToricDivisor, w: Weight) -> CohomologyDims:

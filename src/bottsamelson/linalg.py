@@ -8,21 +8,13 @@ nonzero integers never changes a rank). No floating point anywhere.
 from __future__ import annotations
 
 from math import gcd
-from typing import Hashable, Iterable, Mapping, Sequence, Tuple
-
-Entry = Tuple[Hashable, Hashable]
+from typing import Hashable, Mapping, Sequence
 
 
-def sparse_rank(
-    columns: Mapping[Hashable, Mapping[Hashable, int]],
-    pivot_hints: Iterable[Entry] = (),
-) -> int:
+def sparse_rank(columns: Mapping[Hashable, Mapping[Hashable, int]]) -> int:
     """Rank over the rationals of a sparse integer matrix given by columns.
 
-    columns maps a column id to {row id: nonzero integer}. pivot_hints is an
-    optional list of (row, col) pairs tried first when their entry is still
-    a unit; a good hint order keeps fill-in near zero on cochain matrices.
-    Correctness never depends on the hints.
+    columns maps a column id to {row id: nonzero integer}.
     """
     cols: dict = {}
     rows: dict = {}
@@ -34,9 +26,15 @@ def sparse_rank(
                 rows.setdefault(r, set()).add(c)
 
     rank = 0
+    while cols:
+        # Markowitz-lite: shortest column, then unit entry in sparsest row
+        c = min(cols, key=lambda k: len(cols[k]))
+        r, best_key = None, None
+        for rr, v in cols[c].items():
+            key = (0 if v in (1, -1) else 1, len(rows[rr]))
+            if best_key is None or key < best_key:
+                r, best_key = rr, key
 
-    def eliminate(r, c):
-        nonlocal rank
         rank += 1
         pivot = cols.pop(c)
         p = pivot[r]
@@ -86,22 +84,6 @@ def sparse_rank(
             if not xcol:
                 del cols[x]
         rows.pop(r, None)
-
-    for r, c in pivot_hints:
-        col = cols.get(c)
-        if col is not None and col.get(r) in (1, -1):
-            eliminate(r, c)
-
-    while cols:
-        # Markowitz-lite: shortest column, then unit entry in sparsest row
-        c_best = min(cols, key=lambda c: len(cols[c]))
-        col = cols[c_best]
-        r_best, best_key = None, None
-        for r, v in col.items():
-            key = (0 if v in (1, -1) else 1, len(rows[r]))
-            if best_key is None or key < best_key:
-                r_best, best_key = r, key
-        eliminate(r_best, c_best)
 
     return rank
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Sequence, Tuple
 
 from .bott import BottData, Ray, Weight, _check_coeffs, _check_divisor, _phi_values
 from .linalg import sparse_rank
@@ -32,15 +32,16 @@ def _ray_sort_key(ray: Ray):
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """An abstract simplicial complex on ray-style vertices.
+    """An abstract simplicial complex on hashable vertices (rays for
+    Sigma_m, chart indices for the Cech oracle's complex of inactive sets).
 
     faces is downward closed and contains the empty face exactly when the
     complex has at least one vertex; the truly empty complex has no faces
     at all and is detected with is_empty.
     """
 
-    vertices: Tuple[Ray, ...]
-    faces: FrozenSet[FrozenSet[Ray]]
+    vertices: Tuple[Hashable, ...]
+    faces: FrozenSet[FrozenSet[Hashable]]
 
     def __post_init__(self):
         vertex_set = set(self.vertices)

@@ -23,7 +23,7 @@ from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .bott import BottData, Weight, _check_coeffs, _check_divisor, _phi_values
-from .errors import BoxTooLarge
+from .errors import BoxTooLarge, IndexOutOfRange
 from .simplicial import CohomologyDims, _demazure_weight
 
 ALL_ZERO = "all_zero"
@@ -47,9 +47,7 @@ class ToricDivisor:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if len(a) != len(b):
-            raise ValueError(
-                f"coefficient vectors differ in length: {len(a)} vs {len(b)}"
-            )
+            raise IndexOutOfRange("lower-ray coefficient vector of length", len(b), len(a))
 
     @classmethod
     def upper(cls, a: Sequence[int]) -> "ToricDivisor":

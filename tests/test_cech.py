@@ -1,9 +1,12 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 
 from bottsamelson import (
+    CechComplex,
+    IndexOutOfRange,
     TooLarge,
     ToricDivisor,
     Word,
@@ -15,12 +18,40 @@ from bottsamelson import (
     cech_weight,
     classify_weight,
     cohomology_table,
+    sparse_rank,
     weight_box,
 )
 from conftest import random_coeffs, random_instance
 
 P1 = build_bott_data(cartan_of_type("A", 1), Word((1,)))
 SL3 = build_bott_data(cartan_of_type("A", 2), Word((1, 2)))
+
+
+def reference_dims(cc: CechComplex):
+    """Cohomology of the alternating Cech complex, enumerated over every
+    chart subset with exact coboundary ranks; independent of the complex
+    of inactive subsets that CechComplex.dims reads it from."""
+    count = len(cc.cover)
+    active_by_size = {
+        size: {s for s in combinations(range(count), size) if cc.active(s)}
+        for size in range(1, count + 1)
+    }
+    ranks = {}
+    for p in range(count - 1):
+        sources, targets = active_by_size[p + 1], active_by_size[p + 2]
+        cols = {s: {} for s in sources}
+        for t in targets:
+            for k in range(len(t)):
+                f = t[:k] + t[k + 1:]
+                if f in sources:
+                    cols[f][t] = 1 if k % 2 == 0 else -1
+        ranks[p] = sparse_rank(cols)
+    dims = {}
+    for p in range(count):
+        h = len(active_by_size[p + 1]) - ranks.get(p, 0) - ranks.get(p - 1, 0)
+        if h:
+            dims[p] = h
+    return dims
 
 
 def test_line_tables_via_cech():
@@ -70,7 +101,7 @@ def test_activity_is_monotone_under_enlarging_subsets():
                     assert cc.active(tuple(sorted(s + (extra,))))
 
 
-def test_cover_order_does_not_change_dimensions():
+def test_cover_order_does_not_change_dimensions(rank3_tower):
     rng = random.Random(42)
     for _ in range(10):
         bott, a = random_instance(rng, max_rank=2, max_length=3, coeff_bound=3)
@@ -80,6 +111,57 @@ def test_cover_order_does_not_change_dimensions():
         cover = list(all_sign_vectors(bott.length))
         rng.shuffle(cover)
         assert cech_weight(bott, divisor, m, cover=tuple(cover)) == default
+    # one N = 4 input: 16 charts in a shuffled order
+    divisor = ToricDivisor.upper((-1, -1, 1, 0))
+    cover = list(all_sign_vectors(4))
+    rng.shuffle(cover)
+    for m in ((1, 1, 0, 0), (0, 0, 0, 0), (2, 1, -1, 0)):
+        default = cech_weight(rank3_tower, divisor, m)
+        assert cech_weight(rank3_tower, divisor, m, cover=tuple(cover)) == default
+
+
+def test_dims_match_reference_enumeration_on_every_small_pattern():
+    rng = random.Random(45)
+    patterns = 0
+    for n in (1, 2, 3):
+        default = all_sign_vectors(n)
+        shuffled = list(default)
+        rng.shuffle(shuffled)
+        for bad_plus in range(1 << n):
+            for bad_minus in range(1 << n):
+                for cover in (default, tuple(shuffled)):
+                    cc = CechComplex(n=n, cover=cover, bad_plus=bad_plus, bad_minus=bad_minus)
+                    assert cc.dims() == reference_dims(cc), (n, bad_plus, bad_minus, cover)
+                patterns += 1
+    assert patterns == 84
+
+
+@pytest.mark.parametrize("a", [(2, 2, 2, 2), (-1, -1, 1, 0)])
+def test_cech_tables_match_closed_form_at_n4(rank3_tower, a):
+    divisor = ToricDivisor.upper(a)
+    assert cech_table(rank3_tower, divisor).dims == \
+        cohomology_table(rank3_tower, divisor).dims
+
+
+def test_n4_pattern_takes_well_under_a_second(rank3_tower):
+    cc = cech_complex(rank3_tower, ToricDivisor.upper((-1, -1, 1, 0)), (1, 1, 0, 0))
+    t0 = time.perf_counter()
+    cc.dims()
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_cover_must_list_every_chart_once():
+    divisor = ToricDivisor.upper((-2, 0))
+    assert cech_weight(SL3, divisor, (1, 0)) == {1: 1}
+    charts = all_sign_vectors(2)
+    for cover in (
+        ((1, 1),),
+        all_sign_vectors(3),
+        charts[:-1] + (charts[0],),
+        charts + (charts[0],),
+    ):
+        with pytest.raises(IndexOutOfRange):
+            cech_weight(SL3, divisor, (1, 0), cover=cover)
 
 
 def test_cech_matches_closed_form_per_weight():

@@ -31,8 +31,7 @@ from bottsamelson.errors import BottSamelsonError
 PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
 
-# name -> report builder; the N = 4 oracle runs for minutes, so the oracle
-# runs only on the problems named in ORACLE_PROBLEMS
+# name -> report builder
 COMMANDS = {
     "analyze": lambda spec: run_analyze(spec),
     "analyze --witnesses": lambda spec: run_analyze(spec, collect_witnesses=True),
@@ -43,7 +42,6 @@ COMMANDS = {
     "scan": lambda spec: run_scan(spec),
     "oracle": lambda spec: run_oracle(spec),
 }
-ORACLE_PROBLEMS = {"oracle_affine.json"}
 
 
 def _digest(problem: str, command: str):
@@ -59,8 +57,6 @@ def _digest(problem: str, command: str):
 def _cases():
     for path in sorted(PROBLEMS.glob("*.json")):
         for command in COMMANDS:
-            if command == "oracle" and path.name not in ORACLE_PROBLEMS:
-                continue
             yield path.name, command
 
 

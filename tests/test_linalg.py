@@ -73,14 +73,6 @@ def test_sparse_rank_big_integers():
     assert sparse_rank(cols) == 2
 
 
-def test_sparse_rank_accepts_hints():
-    matrix = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-    cols = to_columns(matrix)
-    # valid hint
-    assert sparse_rank(cols, pivot_hints=((0, 0),)) == 3
-    # second hint lands on an already-eliminated column and is skipped
-    assert sparse_rank(cols, pivot_hints=((2, 0), (0, 0))) == 3
-    # hints at a zero entry or a missing column are ignored, not fatal
-    assert sparse_rank(cols, pivot_hints=((1, 0), (0, 99))) == 3
-    # non-unit entries are never taken as hinted pivots
-    assert sparse_rank({0: {0: 2}}, pivot_hints=((0, 0),)) == 1
+def test_sparse_rank_small_cases():
+    assert sparse_rank(to_columns([[1, 1, 0], [0, 1, 1], [1, 0, 1]])) == 3
+    assert sparse_rank({0: {0: 2}}) == 1

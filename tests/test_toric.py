@@ -5,6 +5,7 @@ import pytest
 from bottsamelson import (
     BoxTooLarge,
     CohomologyTable,
+    IndexOutOfRange,
     ToricDivisor,
     WeightBox,
     Word,
@@ -26,8 +27,9 @@ DOUBLED = build_bott_data(cartan_of_type("A", 2), Word((1, 1)))
 
 
 def test_divisor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         ToricDivisor(a=(1, 2), b=(0,))
+    assert type(info.value) is IndexOutOfRange
     d = ToricDivisor.upper((1, 2))
     assert d.b == (0, 0)
     k_minus_d = d.serre_dual()
