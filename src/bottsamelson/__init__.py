@@ -29,6 +29,7 @@ from .errors import (
     BottSamelsonError,
     BoxTooLarge,
     DiagonalNotTwo,
+    InconsistentData,
     IndexOutOfRange,
     NonSquare,
     NotInPicardBasis,
@@ -98,6 +99,7 @@ __all__ = [
     "ConditionProfile",
     "DiagonalNotTwo",
     "GeneralizedCartanMatrix",
+    "InconsistentData",
     "IndexOutOfRange",
     "NonSquare",
     "NotInPicardBasis",

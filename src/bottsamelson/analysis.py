@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .bott import BottData, Word, build_bott_data
-from .cech import CECH_MAX_DIM, _cech_weight, cech_table
+from .bott import BottData, Word, _sign_masks, build_bott_data
+from .cech import CECH_MAX_DIM, _cech_pattern_dims, cech_table
 from .errors import BottSamelsonError, BoxTooLarge, TooLarge
 from .rootsystem import (
     GeneralizedCartanMatrix,
@@ -32,7 +32,7 @@ from .rootsystem import (
     simple_root,
     validate_gcm,
 )
-from .simplicial import _demazure_weight
+from .simplicial import _demazure_pattern
 from .toric import (
     DEFAULT_BOX_CAP,
     DEFAULT_WITNESS_CAP,
@@ -390,9 +390,10 @@ def run_oracle(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
     if not agree:
         box = weight_box(bott, divisor)
         for m in box.enlarged().points():
+            masks = _sign_masks(bott, divisor, m)
             per_closed = _classify_weight(bott, divisor, m).dims()
-            per_simplicial = _demazure_weight(bott, divisor, m)
-            per_cech = _cech_weight(bott, divisor, m)
+            per_simplicial = dict(_demazure_pattern(*masks))
+            per_cech = dict(_cech_pattern_dims(bott.length, *masks))
             if not (per_closed == per_simplicial == per_cech):
                 doc["first_mismatch"] = {
                     "weight": list(m),

@@ -20,6 +20,7 @@ Positions i, j are 1-based; sign vectors are tuples of +1/-1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
@@ -316,6 +317,59 @@ def _phi_values(bott: BottData, divisor: "ToricDivisor", w: Weight) -> Tuple[Lis
         b[i] - w[i] - sum(beta[i][j] * w[j] for j in range(i + 1, n)) for i in range(n)
     ]
     return up, down
+
+
+def _sign_masks(bott: BottData, divisor: "ToricDivisor", w: Weight) -> Tuple[int, int]:
+    """Bitmasks (bad_plus, bad_minus) of the indices whose upper / lower ray
+    has phi_m < 0, bit i - 1 for index i, for a checked weight."""
+    bad_plus = bad_minus = 0
+    for k, (up, down) in enumerate(zip(*_phi_values(bott, divisor, w))):
+        if up < 0:
+            bad_plus |= 1 << k
+        if down < 0:
+            bad_minus |= 1 << k
+    return bad_plus, bad_minus
+
+
+def _sign_pattern_counts(
+    bott: BottData, divisor: "ToricDivisor", lo: Sequence[int], hi: Sequence[int]
+) -> Counter:
+    """How many weights of the box lo <= m <= hi have each sign pattern,
+    as a Counter of the (bad_plus, bad_minus) pairs of _sign_masks.
+
+    phi_m(e_i^+) < 0 exactly when m_i < -a_i, and phi_m(e_i^-) < 0 exactly
+    when m_i >= S_i + 1, where S_i = b_i - sum_{j>i} beta_ij m_j depends on
+    the later coordinates only. So once m_N, ..., m_{i+1} are fixed, the
+    two thresholds split [lo_i, hi_i] into at most three runs on which the
+    index-i bits do not change. The sweep fixes m_N down to m_2 value by
+    value, carrying the partial sums sum_{j>i} beta_kj m_j for every
+    k <= i, and at index 1 adds each run's length without enumerating it.
+    It keeps an explicit stack, so any N works. Trusts its arguments:
+    a checked divisor and bounds of the tower's length with lo <= hi.
+    """
+    n = bott.length
+    a, b, beta = divisor.a, divisor.b, bott.beta
+    counts: Counter = Counter()
+    stack = [(n - 1, (0,) * n, 0, 0)]
+    while stack:
+        i, sums, bad_plus, bad_minus = stack.pop()
+        bit = 1 << i
+        cut_plus = -a[i]  # m_i below it: the upper ray is negative
+        cut_minus = b[i] - sums[i] + 1  # m_i from it on: the lower ray is negative
+        start, stop = lo[i], hi[i] + 1
+        cuts = sorted({start, stop, min(max(cut_plus, start), stop),
+                       min(max(cut_minus, start), stop)})
+        column = [beta[k][i] for k in range(i)]
+        for run_start, run_stop in zip(cuts, cuts[1:]):
+            plus = bad_plus | bit if run_start < cut_plus else bad_plus
+            minus = bad_minus | bit if run_start >= cut_minus else bad_minus
+            if i == 0:
+                counts[plus, minus] += run_stop - run_start
+                continue
+            for m in range(run_start, run_stop):
+                stack.append((i - 1, tuple(s + c * m for s, c in zip(sums, column)),
+                               plus, minus))
+    return counts
 
 
 def maximal_cone_rows(bott: BottData, eps: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:

@@ -26,19 +26,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .bott import (
     BottData,
     SignVector,
-    Weight,
     _check_coeffs,
     _check_divisor,
-    _phi_values,
+    _sign_masks,
+    _sign_pattern_counts,
     all_sign_vectors,
 )
-from .errors import IndexOutOfRange, TooLarge
+from .errors import InconsistentData, IndexOutOfRange, TooLarge
 from .simplicial import CohomologyDims, SimplicialComplex, reduced_cohomology
 from .toric import CohomologyTable, DEFAULT_BOX_CAP, ToricDivisor, _checked_box
 
@@ -52,17 +51,6 @@ def _cone_mask(cone: SignVector) -> int:
         if s == -1:
             mask |= 1 << k
     return mask
-
-
-def _bad_masks(bott: BottData, divisor: ToricDivisor, w: Weight) -> Tuple[int, int]:
-    """Bitmasks of indices whose upper / lower ray has phi_m < 0."""
-    bad_plus = bad_minus = 0
-    for k, (up, down) in enumerate(zip(*_phi_values(bott, divisor, w))):
-        if up < 0:
-            bad_plus |= 1 << k
-        if down < 0:
-            bad_minus |= 1 << k
-    return bad_plus, bad_minus
 
 
 def _agreement(masks: Sequence[int], n: int, subset: Iterable[int]) -> Tuple[int, int]:
@@ -152,18 +140,13 @@ def cech_weight(
         raise TooLarge(n, CECH_MAX_DIM)
     _check_divisor(bott, divisor)
     w = _check_coeffs(bott, m, "weight")
+    bad_plus, bad_minus = _sign_masks(bott, divisor, w)
     if cover is None:
-        return _cech_weight(bott, divisor, w)
+        return dict(_cech_pattern_dims(n, bad_plus, bad_minus))
     cover = tuple(map(tuple, cover))
     if sorted(cover) != sorted(all_sign_vectors(n)):
         raise IndexOutOfRange("cover", cover, f"the orderings of all_sign_vectors({n})")
-    bad_plus, bad_minus = _bad_masks(bott, divisor, w)
     return CechComplex(n=n, cover=cover, bad_plus=bad_plus, bad_minus=bad_minus).dims()
-
-
-def _cech_weight(bott: BottData, divisor: ToricDivisor, w: Weight) -> CohomologyDims:
-    """cech_weight in the default chart order, for a checked weight and n <= 4."""
-    return dict(_cech_pattern_dims(bott.length, *_bad_masks(bott, divisor, w)))
 
 
 def cech_complex(bott: BottData, divisor: ToricDivisor, m: Sequence[int]) -> CechComplex:
@@ -173,7 +156,7 @@ def cech_complex(bott: BottData, divisor: ToricDivisor, m: Sequence[int]) -> Cec
         raise TooLarge(n, CECH_MAX_DIM)
     _check_divisor(bott, divisor)
     w = _check_coeffs(bott, m, "weight")
-    bad_plus, bad_minus = _bad_masks(bott, divisor, w)
+    bad_plus, bad_minus = _sign_masks(bott, divisor, w)
     return CechComplex(n=n, cover=all_sign_vectors(n), bad_plus=bad_plus, bad_minus=bad_minus)
 
 
@@ -182,18 +165,22 @@ def cech_table(
     divisor: ToricDivisor,
     cap: int = DEFAULT_BOX_CAP,
 ) -> CohomologyTable:
-    """Table h^0..h^N summed from cech_weight over the weight box plus a
-    one-layer shell around it (shell weights must contribute nothing, so a
-    bound violation in the box construction would surface here)."""
+    """Table h^0..h^N summed from the Cech dimensions of each sign pattern,
+    times its number of weights, over the weight box plus a one-layer shell
+    around it (shell weights must contribute nothing, so a bound violation
+    in the box construction would surface here)."""
     n = bott.length
     if n > CECH_MAX_DIM:
         raise TooLarge(n, CECH_MAX_DIM)
-    box = _checked_box(bott, divisor, cap)
+    box = _checked_box(bott, divisor, cap).enlarged()  # the box and its shell
     dims = [0] * (n + 1)
-    for m in chain(box.points(), box.shell_points()):
-        for degree, h in _cech_weight(bott, divisor, m).items():
+    for (bad_plus, bad_minus), count in _sign_pattern_counts(bott, divisor, box.lo, box.hi).items():
+        for degree, h in _cech_pattern_dims(n, bad_plus, bad_minus):
             if degree > n:
-                raise ValueError(f"impossible cohomology degree {degree} at weight {m}")
-            dims[degree] += h
+                raise InconsistentData(
+                    f"impossible cohomology degree {degree} for the sign masks "
+                    f"bad_plus={bad_plus:#b}, bad_minus={bad_minus:#b}"
+                )
+            dims[degree] += h * count
     euler = sum(h if i % 2 == 0 else -h for i, h in enumerate(dims))
     return CohomologyTable(dims=tuple(dims), euler=euler)

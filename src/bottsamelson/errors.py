@@ -52,6 +52,13 @@ class IndexOutOfRange(BottSamelsonError):
         super().__init__(f"{what} index {i} out of range {bound}")
 
 
+class InconsistentData(BottSamelsonError):
+    """Values that contradict each other or the structure they describe:
+    an inverted interval, dimensions that miss their Euler characteristic,
+    a face set that is not a simplicial complex, or a cohomology degree
+    above the tower's dimension."""
+
+
 class NotStrictlyIncreasing(BottSamelsonError):
     def __init__(self, i: int, j: int):
         super().__init__(f"need position i < j, got i={i}, j={j}")

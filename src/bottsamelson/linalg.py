@@ -7,6 +7,7 @@ nonzero integers never changes a rank). No floating point anywhere.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Hashable, Mapping, Sequence
 
@@ -25,10 +26,18 @@ def sparse_rank(columns: Mapping[Hashable, Mapping[Hashable, int]]) -> int:
             for r in live:
                 rows.setdefault(r, set()).add(c)
 
+    # Markowitz-lite: shortest column, then unit entry in sparsest row. The
+    # heap holds (length, position, column) entries, pushed again whenever a
+    # column changes; an entry whose column is gone or has another length
+    # is stale and skipped. Ties go to the earliest column, as in a scan.
+    position = {c: k for k, c in enumerate(cols)}
+    heap = [(len(col), position[c], c) for c, col in cols.items()]
+    heapify(heap)
     rank = 0
-    while cols:
-        # Markowitz-lite: shortest column, then unit entry in sparsest row
-        c = min(cols, key=lambda k: len(cols[k]))
+    while heap:
+        length, _, c = heappop(heap)
+        if len(cols.get(c, ())) != length:
+            continue
         r, best_key = None, None
         for rr, v in cols[c].items():
             key = (0 if v in (1, -1) else 1, len(rows[rr]))
@@ -81,7 +90,9 @@ def sparse_rank(columns: Mapping[Hashable, Mapping[Hashable, int]]) -> int:
                 if content > 1:
                     for rr in xcol:
                         xcol[rr] //= content
-            if not xcol:
+            if xcol:
+                heappush(heap, (len(xcol), position[x], x))
+            else:
                 del cols[x]
         rows.pop(r, None)
 

@@ -19,7 +19,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Dict, FrozenSet, Hashable, Iterable, Sequence, Tuple
 
-from .bott import BottData, Ray, Weight, _check_coeffs, _check_divisor, _phi_values
+from .bott import BottData, Ray, _check_coeffs, _check_divisor, _sign_masks
+from .errors import InconsistentData
 from .linalg import sparse_rank
 
 CohomologyDims = Dict[int, int]
@@ -47,17 +48,17 @@ class SimplicialComplex:
         vertex_set = set(self.vertices)
         for face in self.faces:
             if not face <= vertex_set:
-                raise ValueError(f"face {sorted(face)} uses unknown vertices")
+                raise InconsistentData(f"face {sorted(face)} uses unknown vertices")
             for v in face:
                 if face - {v} not in self.faces:
-                    raise ValueError(
+                    raise InconsistentData(
                         f"faces are not downward closed at {sorted(face)}"
                     )
         if self.faces and frozenset() not in self.faces:
-            raise ValueError("a nonempty complex must contain the empty face")
+            raise InconsistentData("a nonempty complex must contain the empty face")
         for v in self.vertices:
             if frozenset((v,)) not in self.faces:
-                raise ValueError(f"vertex {v} is not a face")
+                raise InconsistentData(f"vertex {v} is not a face")
 
     @classmethod
     def from_faces(cls, faces: Iterable[Iterable[Ray]]) -> "SimplicialComplex":
@@ -121,12 +122,13 @@ def reduced_cohomology(sc: SimplicialComplex) -> CohomologyDims:
     return dims
 
 
-def _negative_rays(bott: BottData, divisor, w: Weight) -> Tuple[Ray, ...]:
+def _negative_rays(bad_plus: int, bad_minus: int) -> Tuple[Ray, ...]:
+    """The rays with phi_m < 0, in ray order, from a weight's sign masks."""
     neg = []
-    for i, (up, down) in enumerate(zip(*_phi_values(bott, divisor, w)), start=1):
-        if up < 0:
+    for i in range(1, (bad_plus | bad_minus).bit_length() + 1):
+        if bad_plus >> (i - 1) & 1:
             neg.append((i, 1))
-        if down < 0:
+        if bad_minus >> (i - 1) & 1:
             neg.append((i, -1))
     return tuple(neg)
 
@@ -154,7 +156,8 @@ def sigma_m(bott: BottData, divisor, m: Sequence[int]) -> SimplicialComplex:
     the fan).
     """
     _check_divisor(bott, divisor)
-    return _complex_on_rays(_negative_rays(bott, divisor, _check_coeffs(bott, m, "weight")))
+    w = _check_coeffs(bott, m, "weight")
+    return _complex_on_rays(_negative_rays(*_sign_masks(bott, divisor, w)))
 
 
 # Each index contributes one of 4 negative-ray sets, so 4^4 entries hold every
@@ -163,9 +166,14 @@ _DEMAZURE_PATTERN_CACHE = 4**4
 
 
 @lru_cache(maxsize=_DEMAZURE_PATTERN_CACHE)
-def _demazure_pattern(neg: Tuple[Ray, ...]) -> Tuple[Tuple[int, int], ...]:
+def _demazure_pattern(bad_plus: int, bad_minus: int) -> Tuple[Tuple[int, int], ...]:
+    """Sorted (degree, dim) pairs of a weight with these sign masks: (0, 1)
+    when Sigma_m is empty, else reduced h^(i-1)(Sigma_m) in degree i."""
+    neg = _negative_rays(bad_plus, bad_minus)
+    if not neg:
+        return ((0, 1),)
     dims = reduced_cohomology(_complex_on_rays(neg))
-    return tuple(sorted(dims.items()))
+    return tuple(sorted((p + 1, h) for p, h in dims.items()))
 
 
 def demazure_weight(bott: BottData, divisor, m: Sequence[int]) -> CohomologyDims:
@@ -176,11 +184,5 @@ def demazure_weight(bott: BottData, divisor, m: Sequence[int]) -> CohomologyDims
     of negative rays, which is cached.
     """
     _check_divisor(bott, divisor)
-    return _demazure_weight(bott, divisor, _check_coeffs(bott, m, "weight"))
-
-
-def _demazure_weight(bott: BottData, divisor, w: Weight) -> CohomologyDims:
-    neg = _negative_rays(bott, divisor, w)
-    if not neg:
-        return {0: 1}
-    return {p + 1: h for p, h in _demazure_pattern(neg)}
+    w = _check_coeffs(bott, m, "weight")
+    return dict(_demazure_pattern(*_sign_masks(bott, divisor, w)))

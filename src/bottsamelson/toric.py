@@ -22,9 +22,16 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .bott import BottData, Weight, _check_coeffs, _check_divisor, _phi_values
-from .errors import BoxTooLarge, IndexOutOfRange
-from .simplicial import CohomologyDims, _demazure_weight
+from .bott import (
+    BottData,
+    Weight,
+    _check_coeffs,
+    _check_divisor,
+    _phi_values,
+    _sign_pattern_counts,
+)
+from .errors import BoxTooLarge, InconsistentData, IndexOutOfRange
+from .simplicial import CohomologyDims, _demazure_pattern
 
 ALL_ZERO = "all_zero"
 CONCENTRATED = "concentrated"
@@ -103,10 +110,10 @@ class WeightBox:
 
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
-            raise ValueError("box bounds differ in length")
+            raise IndexOutOfRange("upper box bound vector of length", len(self.hi), len(self.lo))
         for l, h in zip(self.lo, self.hi):
             if l > h:
-                raise ValueError(f"inverted interval [{l}, {h}]")
+                raise InconsistentData(f"inverted interval [{l}, {h}]")
 
     @property
     def num_points(self) -> int:
@@ -178,7 +185,7 @@ class CohomologyTable:
     def __post_init__(self):
         alt = sum(h if i % 2 == 0 else -h for i, h in enumerate(self.dims))
         if alt != self.euler:
-            raise ValueError("Euler characteristic does not match dimensions")
+            raise InconsistentData("Euler characteristic does not match dimensions")
 
 
 DEFAULT_BOX_CAP = 2_000_000
@@ -235,13 +242,14 @@ def demazure_table(
     divisor: ToricDivisor,
     cap: int = DEFAULT_BOX_CAP,
 ) -> CohomologyTable:
-    """The same table as cohomology_table, but summing per-weight
-    simplicial cohomology of Sigma_m instead of the sign classification."""
+    """The same table as cohomology_table, but summing the simplicial
+    cohomology of Sigma_m over the box, once per sign pattern times the
+    number of box weights that have it."""
     box = _checked_box(bott, divisor, cap)
     n = bott.length
     dims = [0] * (n + 1)
-    for m in box.points():
-        for degree, h in _demazure_weight(bott, divisor, m).items():
-            dims[degree] += h
+    for pattern, count in _sign_pattern_counts(bott, divisor, box.lo, box.hi).items():
+        for degree, h in _demazure_pattern(*pattern):
+            dims[degree] += h * count
     euler = sum(h if i % 2 == 0 else -h for i, h in enumerate(dims))
     return CohomologyTable(dims=tuple(dims), euler=euler)

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 import bottsamelson
 import bottsamelson.analysis as analysis
+import bottsamelson.cech as cech
 import bottsamelson.cli as cli
 
 PROBLEM_DOC = json.dumps({
@@ -136,6 +137,18 @@ def test_exit_code_for_oracle_mismatch(monkeypatch):
     result = run(["oracle", "-"], stdin=LINE)
     assert result.exit_code == 4
     assert "MISMATCH" in result.output
+
+
+def test_exit_code_for_an_impossible_cech_degree(monkeypatch):
+    # a Cech pattern cannot have cohomology above the tower's dimension;
+    # stub one that does, and the command must fail with a typed error
+    monkeypatch.setattr(cech, "_cech_pattern_dims", lambda n, plus, minus: ((n + 1, 1),))
+    spec = analysis.load_problem(LINE)
+    with pytest.raises(bottsamelson.InconsistentData):
+        cech.cech_table(spec.bott(), spec.divisor())
+    result = run(["oracle", "-"], stdin=LINE)
+    assert result.exit_code == 2
+    assert "error: impossible cohomology degree 2" in result.output
 
 
 def test_exit_code_for_toric_contradiction(monkeypatch):

@@ -76,3 +76,25 @@ def test_sparse_rank_big_integers():
 def test_sparse_rank_small_cases():
     assert sparse_rank(to_columns([[1, 1, 0], [0, 1, 1], [1, 0, 1]])) == 3
     assert sparse_rank({0: {0: 2}}) == 1
+
+
+def test_sparse_rank_on_larger_sparse_matrices():
+    # pivots are picked from a heap of column lengths that elimination keeps
+    # changing; rank-deficient matrices with non-unit entries exercise the
+    # fill-in, the cancellations and the scaled updates
+    rng = random.Random(20261018)
+    for _ in range(60):
+        rows = rng.randint(5, 30)
+        cols = rng.randint(5, 30)
+        density = rng.choice((0.1, 0.2, 0.4))
+        matrix = [
+            [rng.choice((1, -1, 2, -2, 3, 6, -7, 10**12)) if rng.random() < density else 0
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        for _ in range(rng.randint(0, 5)):  # dependent columns
+            j, k, target = (rng.randrange(cols) for _ in range(3))
+            p, q = rng.choice((1, 2, -3)), rng.choice((1, -1, 5))
+            for row in matrix:
+                row[target] = p * row[j] + q * row[k]
+        assert sparse_rank(to_columns(matrix)) == reference_rank(matrix)

@@ -1,12 +1,13 @@
 """Property tests: the reachable-root sweeps against enumeration, scan
-records against single-point reports, and Serre duality of the toric
-table, over finite, affine and indefinite matrices; and report_json against
-json.dumps.
+records against single-point reports, the sign-pattern sweep against
+per-weight masks, and Serre duality of the toric table, over finite,
+affine and indefinite matrices; and report_json against json.dumps.
 
 Derandomized, so the examples are the same on every run.
 """
 
 import json
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -31,6 +32,7 @@ from bottsamelson import (
     weight_box,
 )
 from bottsamelson.analysis import _alpha_summary
+from bottsamelson.bott import _sign_masks, _sign_pattern_counts
 
 MATRICES = {
     "A3": cartan_of_type("A", 3),
@@ -97,6 +99,20 @@ def test_serre_duality_of_the_toric_table(data):
     assume(weight_box(bott, dual).num_points <= BOX_POINTS)
     dims = cohomology_table(bott, divisor).dims
     assert cohomology_table(bott, dual).dims == dims[::-1]
+
+
+@PROPERTY
+@given(st.data())
+def test_sign_pattern_counts_equal_per_weight_masks(data):
+    bott = data.draw(towers(max_length=6))
+    n = bott.length
+    divisor = ToricDivisor(a=data.draw(coeffs(n, 3)), b=data.draw(coeffs(n, 2)))
+    box = weight_box(bott, divisor)
+    grown = box.enlarged()
+    assume(grown.num_points <= BOX_POINTS)
+    for b in (box, grown):
+        expected = Counter(_sign_masks(bott, divisor, m) for m in b.points())
+        assert _sign_pattern_counts(bott, divisor, b.lo, b.hi) == expected
 
 
 @st.composite

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bottsamelson import (
+    InconsistentData,
     SimplicialComplex,
     ToricDivisor,
     Word,
@@ -28,22 +29,22 @@ def test_from_faces_closes_downward():
 
 
 def test_validation_rejects_broken_complexes():
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentData):
         SimplicialComplex(
             vertices=(V1, V2),
             faces=frozenset({frozenset((V1, V2))}),  # closure missing
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentData):
         SimplicialComplex(
             vertices=(),
             faces=frozenset({frozenset((V1,)), frozenset()}),  # unknown vertex
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentData):
         SimplicialComplex(
             vertices=(V1,),
             faces=frozenset({frozenset((V1,))}),  # empty face missing
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentData):
         SimplicialComplex(
             vertices=(V1,),
             faces=frozenset({frozenset()}),  # vertex that is not a face

@@ -5,6 +5,7 @@ import pytest
 from bottsamelson import (
     BoxTooLarge,
     CohomologyTable,
+    InconsistentData,
     IndexOutOfRange,
     ToricDivisor,
     WeightBox,
@@ -155,13 +156,18 @@ def test_weight_box_helpers():
     shell = set(box.shell_points())
     assert len(shell) == grown.num_points - box.num_points
     assert all(not box.contains(m) for m in shell)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         WeightBox(lo=(0,), hi=(-1,))
+    assert type(info.value) is InconsistentData
+    with pytest.raises(ValueError) as info:
+        WeightBox(lo=(0,), hi=(0, 0))
+    assert type(info.value) is IndexOutOfRange
 
 
 def test_table_euler_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         CohomologyTable(dims=(1, 0), euler=7)
+    assert type(info.value) is InconsistentData
 
 
 def test_multiplicities_above_one_show_up():
