@@ -34,11 +34,12 @@ from .rootsystem import (
 )
 from .simplicial import _demazure_pattern
 from .toric import (
+    ALL_ZERO,
+    CONCENTRATED,
     DEFAULT_BOX_CAP,
-    DEFAULT_WITNESS_CAP,
     ToricDivisor,
     _checked_box,
-    _classify_weight,
+    _closed_degree,
     cohomology_table,
     demazure_table,
     weight_box,
@@ -234,7 +235,6 @@ def run_analyze(
     with_toric: bool = True,
     collect_witnesses: bool = False,
     cap: int = DEFAULT_BOX_CAP,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
 ) -> dict:
     """Vanishing analysis of the divisor; the heart of the CLI."""
     bott = spec.bott()
@@ -269,13 +269,7 @@ def run_analyze(
     }
 
     if with_toric:
-        table = cohomology_table(
-            bott,
-            divisor,
-            collect_witnesses=collect_witnesses,
-            cap=cap,
-            witness_cap=witness_cap,
-        )
+        table = cohomology_table(bott, divisor, collect_witnesses=collect_witnesses, cap=cap)
         _check_vanished(report.vanished, table)
         doc["toric"] = _table_dict(table, collect_witnesses)
         if any(table.dims[i] for i in report.possible_window):
@@ -289,14 +283,11 @@ def run_toric(
     spec: ProblemSpec,
     collect_witnesses: bool = False,
     cap: int = DEFAULT_BOX_CAP,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
 ) -> dict:
     """Exact toric cohomology table (b may be nonzero here)."""
     bott = spec.bott()
     divisor = spec.divisor()
-    table = cohomology_table(
-        bott, divisor, collect_witnesses=collect_witnesses, cap=cap, witness_cap=witness_cap
-    )
+    table = cohomology_table(bott, divisor, collect_witnesses=collect_witnesses, cap=cap)
     box = weight_box(bott, divisor)
     return {
         "schema": SCHEMA_VERSION,
@@ -315,11 +306,11 @@ def run_weights(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
     box = _checked_box(bott, divisor, cap)
     records = []
     for m in box.points():
-        cls = _classify_weight(bott, divisor, m)
-        rec = {"weight": list(m), "kind": cls.kind}
-        if cls.degree is not None:
-            rec["degree"] = cls.degree
-        records.append(rec)
+        degree = _closed_degree(*_sign_masks(bott, divisor, m))
+        if degree is None:
+            records.append({"weight": list(m), "kind": ALL_ZERO})
+        else:
+            records.append({"weight": list(m), "kind": CONCENTRATED, "degree": degree})
     return {
         "schema": SCHEMA_VERSION,
         "command": "weights",
@@ -391,7 +382,8 @@ def run_oracle(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
         box = weight_box(bott, divisor)
         for m in box.enlarged().points():
             masks = _sign_masks(bott, divisor, m)
-            per_closed = _classify_weight(bott, divisor, m).dims()
+            degree = _closed_degree(*masks)
+            per_closed = {} if degree is None else {degree: 1}
             per_simplicial = dict(_demazure_pattern(*masks))
             per_cech = dict(_cech_pattern_dims(bott.length, *masks))
             if not (per_closed == per_simplicial == per_cech):

@@ -21,9 +21,10 @@ Positions i, j are 1-based; sign vectors are tuples of +1/-1.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from operator import mul
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from .errors import IndexOutOfRange, NotStrictlyIncreasing
 from .rootsystem import GeneralizedCartanMatrix, pairing, reflect, simple_root
@@ -60,8 +61,7 @@ class BottData:
     """Frozen fan data for the Bott tower of a word.
 
     beta[i-1][j-1] holds <beta_i^vee, beta_j>; rays_plus and rays_minus hold
-    the ray lattice vectors, indexed by position. The tower also carries the
-    alpha_ij^eps values computed so far, so they live and die with it.
+    the ray lattice vectors, indexed by position.
     """
 
     gcm: GeneralizedCartanMatrix
@@ -69,9 +69,6 @@ class BottData:
     beta: Tuple[Tuple[int, ...], ...]
     rays_plus: Tuple[Tuple[int, ...], ...]
     rays_minus: Tuple[Tuple[int, ...], ...]
-    _alpha_memo: Dict[Tuple[int, int, Tuple[int, ...]], int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def length(self) -> int:
@@ -122,10 +119,10 @@ def build_bott_data(gcm: GeneralizedCartanMatrix, word) -> BottData:
 def signs(pattern: str) -> SignVector:
     """Parse a sign string like '+-+' into a tuple of +1/-1."""
     table = {"+": 1, "-": -1}
-    try:
-        return tuple(table[ch] for ch in pattern)
-    except KeyError as exc:
-        raise ValueError(f"sign string may contain only '+' and '-': {pattern!r}") from exc
+    for pos, ch in enumerate(pattern, start=1):
+        if ch not in table:
+            raise IndexOutOfRange(f"sign character at position {pos}", repr(ch), "'+' or '-'")
+    return tuple(table[ch] for ch in pattern)
 
 
 def all_sign_vectors(N: int) -> Tuple[SignVector, ...]:
@@ -168,15 +165,11 @@ def _alpha(bott: BottData, i: int, j: int, minus: Tuple[int, ...]) -> int:
 
     Trusts its arguments: 1 <= i < j <= N and minus inside (i, j).
     """
-    key = (i, j, minus)
-    value = bott._alpha_memo.get(key)
-    if value is None:
-        letters = bott.word.letters
-        gamma = simple_root(bott.gcm, letters[j - 1])
-        for k in reversed(minus):  # the factor with largest k acts first
-            gamma = reflect(bott.gcm, letters[k - 1], gamma)
-        value = bott._alpha_memo[key] = pairing(bott.gcm, letters[i - 1], gamma)
-    return value
+    letters = bott.word.letters
+    gamma = simple_root(bott.gcm, letters[j - 1])
+    for k in reversed(minus):  # the factor with largest k acts first
+        gamma = reflect(bott.gcm, letters[k - 1], gamma)
+    return pairing(bott.gcm, letters[i - 1], gamma)
 
 
 def alpha_reflect(bott: BottData, i: int, j: int, eps: Sequence[int]) -> int:
@@ -293,7 +286,7 @@ def phi(bott: BottData, divisor: "ToricDivisor", m: Sequence[int], ray: Ray) -> 
     """Value on a ray of the divisor's support function shifted by weight m.
 
     phi_m(e_i^+) = m_i + a_i and
-    phi_m(e_i^-) = -m_i - sum_{j>i} beta_ij m_j + b_i.
+    phi_m(e_i^-) = <m, e_i^-> + b_i = -m_i - sum_{j>i} beta_ij m_j + b_i.
 
     The weight m contributes to cohomology only through the signs of these
     2N numbers.
@@ -301,33 +294,27 @@ def phi(bott: BottData, divisor: "ToricDivisor", m: Sequence[int], ray: Ray) -> 
     _check_divisor(bott, divisor)
     w = _check_coeffs(bott, m, "weight")
     i, s = ray
-    _check_position(bott, i)
     if s not in (1, -1):
         raise IndexOutOfRange("ray sign", s, "+1 or -1")
-    up, down = _phi_values(bott, divisor, w)
-    return up[i - 1] if s == 1 else down[i - 1]
-
-
-def _phi_values(bott: BottData, divisor: "ToricDivisor", w: Weight) -> Tuple[List[int], List[int]]:
-    """phi_m on e_1^+, ..., e_N^+ and on e_1^-, ..., e_N^- for a checked weight."""
-    a, b, beta = divisor.a, divisor.b, bott.beta
-    n = bott.length
-    up = [w[i] + a[i] for i in range(n)]
-    down = [
-        b[i] - w[i] - sum(beta[i][j] * w[j] for j in range(i + 1, n)) for i in range(n)
-    ]
-    return up, down
+    coeff = divisor.a if s == 1 else divisor.b
+    return sum(map(mul, w, bott.ray(ray))) + coeff[i - 1]
 
 
 def _sign_masks(bott: BottData, divisor: "ToricDivisor", w: Weight) -> Tuple[int, int]:
     """Bitmasks (bad_plus, bad_minus) of the indices whose upper / lower ray
-    has phi_m < 0, bit i - 1 for index i, for a checked weight."""
+    has phi_m < 0, bit i - 1 for index i, for a checked weight.
+
+    phi_m(e_i^+) = m_i + a_i, and phi_m(e_i^-) pairs m with the stored ray
+    vector e_i^- and adds b_i.
+    """
     bad_plus = bad_minus = 0
-    for k, (up, down) in enumerate(zip(*_phi_values(bott, divisor, w))):
-        if up < 0:
-            bad_plus |= 1 << k
-        if down < 0:
-            bad_minus |= 1 << k
+    bit = 1
+    for m_i, a_i, b_i, ray in zip(w, divisor.a, divisor.b, bott.rays_minus):
+        if m_i + a_i < 0:
+            bad_plus |= bit
+        if sum(map(mul, w, ray)) + b_i < 0:
+            bad_minus |= bit
+        bit <<= 1
     return bad_plus, bad_minus
 
 

@@ -25,7 +25,7 @@ simplicial one; it is deliberately not used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .bott import (
@@ -34,12 +34,11 @@ from .bott import (
     _check_coeffs,
     _check_divisor,
     _sign_masks,
-    _sign_pattern_counts,
     all_sign_vectors,
 )
-from .errors import InconsistentData, IndexOutOfRange, TooLarge
+from .errors import IndexOutOfRange, TooLarge
 from .simplicial import CohomologyDims, SimplicialComplex, reduced_cohomology
-from .toric import CohomologyTable, DEFAULT_BOX_CAP, ToricDivisor, _checked_box
+from .toric import CohomologyTable, DEFAULT_BOX_CAP, ToricDivisor, _checked_box, _pattern_table
 
 CECH_MAX_DIM = 4
 
@@ -173,14 +172,4 @@ def cech_table(
     if n > CECH_MAX_DIM:
         raise TooLarge(n, CECH_MAX_DIM)
     box = _checked_box(bott, divisor, cap).enlarged()  # the box and its shell
-    dims = [0] * (n + 1)
-    for (bad_plus, bad_minus), count in _sign_pattern_counts(bott, divisor, box.lo, box.hi).items():
-        for degree, h in _cech_pattern_dims(n, bad_plus, bad_minus):
-            if degree > n:
-                raise InconsistentData(
-                    f"impossible cohomology degree {degree} for the sign masks "
-                    f"bad_plus={bad_plus:#b}, bad_minus={bad_minus:#b}"
-                )
-            dims[degree] += h * count
-    euler = sum(h if i % 2 == 0 else -h for i, h in enumerate(dims))
-    return CohomologyTable(dims=tuple(dims), euler=euler)
+    return _pattern_table(bott, divisor, box, partial(_cech_pattern_dims, n))

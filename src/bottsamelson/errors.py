@@ -55,8 +55,9 @@ class IndexOutOfRange(BottSamelsonError):
 class InconsistentData(BottSamelsonError):
     """Values that contradict each other or the structure they describe:
     an inverted interval, dimensions that miss their Euler characteristic,
-    a face set that is not a simplicial complex, or a cohomology degree
-    above the tower's dimension."""
+    a face set that is not a simplicial complex, a cohomology degree
+    above the tower's dimension, or a certificate that the condition
+    profile does not admit."""
 
 
 class NotStrictlyIncreasing(BottSamelsonError):

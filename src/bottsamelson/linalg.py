@@ -11,6 +11,8 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Hashable, Mapping, Sequence
 
+from .errors import NonSquare
+
 
 def sparse_rank(columns: Mapping[Hashable, Mapping[Hashable, int]]) -> int:
     """Rank over the rationals of a sparse integer matrix given by columns.
@@ -52,36 +54,26 @@ def sparse_rank(columns: Mapping[Hashable, Mapping[Hashable, int]]) -> int:
         for x in list(rows.get(r, ())):
             xcol = cols[x]
             lam = xcol.pop(r)
-            if lam % p == 0:
-                q = lam // p
-                for rr, v in pivot.items():
-                    if rr == r:
-                        continue
-                    w = xcol.get(rr, 0) - q * v
-                    if w:
-                        if rr not in xcol:
-                            rows[rr].add(x)
-                        xcol[rr] = w
-                    elif rr in xcol:
-                        del xcol[rr]
-                        rows[rr].discard(x)
-            else:
-                # scale column x so the update stays integral; rank unchanged
-                g = gcd(lam, p)
-                sx, sp = p // g, lam // g
+            # x -= (lam / p) pivot, kept integral: g = gcd(lam, p) with the sign
+            # of p, so sx = p // g > 0 scales column x (rank unchanged) unless
+            # p divides lam, where sx = 1 and sp is the plain quotient
+            g = gcd(lam, p) if p > 0 else -gcd(lam, p)
+            sx, sp = p // g, lam // g
+            if sx != 1:
                 for rr in xcol:
                     xcol[rr] *= sx
-                for rr, v in pivot.items():
-                    if rr == r:
-                        continue
-                    w = xcol.get(rr, 0) - sp * v
-                    if w:
-                        if rr not in xcol:
-                            rows[rr].add(x)
-                        xcol[rr] = w
-                    elif rr in xcol:
-                        del xcol[rr]
-                        rows[rr].discard(x)
+            for rr, v in pivot.items():
+                if rr == r:
+                    continue
+                w = xcol.get(rr, 0) - sp * v
+                if w:
+                    if rr not in xcol:
+                        rows[rr].add(x)
+                    xcol[rr] = w
+                elif rr in xcol:
+                    del xcol[rr]
+                    rows[rr].discard(x)
+            if sx != 1:
                 content = 0
                 for v in xcol.values():
                     content = gcd(content, v)
@@ -113,9 +105,9 @@ def det(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     a = [list(map(int, row)) for row in matrix]
     n = len(a)
-    for row in a:
+    for i, row in enumerate(a, start=1):
         if len(row) != n:
-            raise ValueError("determinant needs a square matrix")
+            raise NonSquare(n, i, len(row))
     if n == 0:
         return 1
     sign = 1

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .bott import (
     BottData,
     Weight,
     _check_coeffs,
     _check_divisor,
-    _phi_values,
+    _sign_masks,
     _sign_pattern_counts,
 )
 from .errors import BoxTooLarge, InconsistentData, IndexOutOfRange
@@ -88,17 +88,17 @@ class WeightClassification:
 def classify_weight(bott: BottData, divisor: ToricDivisor, m: Sequence[int]) -> WeightClassification:
     """Closed-form classification of one weight from its 2N support signs."""
     _check_divisor(bott, divisor)
-    return _classify_weight(bott, divisor, _check_coeffs(bott, m, "weight"))
-
-
-def _classify_weight(bott: BottData, divisor: ToricDivisor, w: Weight) -> WeightClassification:
-    degree = 0
-    for up, down in zip(*_phi_values(bott, divisor, w)):
-        if (up < 0) != (down < 0):
-            return WeightClassification(kind=ALL_ZERO)
-        if up < 0:
-            degree += 1
+    degree = _closed_degree(*_sign_masks(bott, divisor, _check_coeffs(bott, m, "weight")))
+    if degree is None:
+        return WeightClassification(kind=ALL_ZERO)
     return WeightClassification(kind=CONCENTRATED, degree=degree)
+
+
+def _closed_degree(bad_plus: int, bad_minus: int) -> Optional[int]:
+    """The closed form on one sign pattern: None (all degrees zero) when
+    some index has one ray negative and the other not, else the single
+    degree, the number of negative upper rays."""
+    return None if bad_plus != bad_minus else bad_plus.bit_count()
 
 
 @dataclass(frozen=True)
@@ -129,15 +129,13 @@ class WeightBox:
         """All lattice points in lexicographic order."""
         return product(*(range(l, h + 1) for l, h in zip(self.lo, self.hi)))
 
-    def enlarged(self, margin: int = 1) -> "WeightBox":
-        return WeightBox(
-            lo=tuple(l - margin for l in self.lo),
-            hi=tuple(h + margin for h in self.hi),
-        )
+    def enlarged(self) -> "WeightBox":
+        """The box grown by one layer on every side."""
+        return WeightBox(lo=tuple(l - 1 for l in self.lo), hi=tuple(h + 1 for h in self.hi))
 
-    def shell_points(self, margin: int = 1) -> Iterator[Weight]:
+    def shell_points(self) -> Iterator[Weight]:
         """Lattice points of the enlarged box lying outside this box."""
-        for m in self.enlarged(margin).points():
+        for m in self.enlarged().points():
             if not self.contains(m):
                 yield m
 
@@ -183,13 +181,18 @@ class CohomologyTable:
     witnesses_truncated: bool = False
 
     def __post_init__(self):
-        alt = sum(h if i % 2 == 0 else -h for i, h in enumerate(self.dims))
-        if alt != self.euler:
+        if _euler(self.dims) != self.euler:
             raise InconsistentData("Euler characteristic does not match dimensions")
 
 
+def _euler(dims: Sequence[int]) -> int:
+    """Alternating sum h^0 - h^1 + h^2 - ... of a table's dimensions."""
+    return sum(dims[::2]) - sum(dims[1::2])
+
+
 DEFAULT_BOX_CAP = 2_000_000
-DEFAULT_WITNESS_CAP = 10**4
+# Witnesses kept per table; cohomology_table reads it at call time.
+WITNESS_CAP = 10**4
 
 
 def _checked_box(bott: BottData, divisor: ToricDivisor, cap: int) -> WeightBox:
@@ -206,35 +209,56 @@ def cohomology_table(
     divisor: ToricDivisor,
     collect_witnesses: bool = False,
     cap: int = DEFAULT_BOX_CAP,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
 ) -> CohomologyTable:
     """Exact table h^0..h^N by classifying every weight in the box.
 
     Witness collection stores (weight, degree) pairs for concentrated
-    weights in lexicographic order, truncating at witness_cap.
+    weights in lexicographic order, truncating at WITNESS_CAP. The weights
+    are scanned one by one, never through the sign-pattern sweep of the
+    oracle tables, which check this table.
     """
     box = _checked_box(bott, divisor, cap)
-    n = bott.length
-    dims = [0] * (n + 1)
+    dims = [0] * (bott.length + 1)
     witnesses = [] if collect_witnesses else None
     truncated = False
     for m in box.points():
-        cls = _classify_weight(bott, divisor, m)
-        if cls.is_zero:
+        degree = _closed_degree(*_sign_masks(bott, divisor, m))
+        if degree is None:
             continue
-        dims[cls.degree] += 1
+        dims[degree] += 1
         if witnesses is not None:
-            if len(witnesses) < witness_cap:
-                witnesses.append((m, cls.degree))
+            if len(witnesses) < WITNESS_CAP:
+                witnesses.append((m, degree))
             else:
                 truncated = True
-    euler = sum(h if i % 2 == 0 else -h for i, h in enumerate(dims))
     return CohomologyTable(
         dims=tuple(dims),
-        euler=euler,
+        euler=_euler(dims),
         witnesses=None if witnesses is None else tuple(witnesses),
         witnesses_truncated=truncated,
     )
+
+
+def _pattern_table(
+    bott: BottData,
+    divisor: ToricDivisor,
+    box: WeightBox,
+    rule: Callable[[int, int], Iterable[Tuple[int, int]]],
+) -> CohomologyTable:
+    """Table h^0..h^N over the box: rule(bad_plus, bad_minus) gives the
+    (degree, dim) pairs of one sign pattern, counted once per box weight
+    with that pattern. A degree above N raises InconsistentData."""
+    n = bott.length
+    dims = [0] * (n + 1)
+    for (bad_plus, bad_minus), count in _sign_pattern_counts(bott, divisor, box.lo, box.hi).items():
+        for degree, h in rule(bad_plus, bad_minus):
+            if degree > n:
+                raise InconsistentData(
+                    f"impossible cohomology degree {degree} for the sign masks "
+                    f"bad_plus={bad_plus:#b}, bad_minus={bad_minus:#b}"
+                )
+            dims[degree] += h * count
+    return CohomologyTable(dims=tuple(dims), euler=_euler(dims))
 
 
 def demazure_table(
@@ -245,11 +269,4 @@ def demazure_table(
     """The same table as cohomology_table, but summing the simplicial
     cohomology of Sigma_m over the box, once per sign pattern times the
     number of box weights that have it."""
-    box = _checked_box(bott, divisor, cap)
-    n = bott.length
-    dims = [0] * (n + 1)
-    for pattern, count in _sign_pattern_counts(bott, divisor, box.lo, box.hi).items():
-        for degree, h in _demazure_pattern(*pattern):
-            dims[degree] += h * count
-    euler = sum(h if i % 2 == 0 else -h for i, h in enumerate(dims))
-    return CohomologyTable(dims=tuple(dims), euler=euler)
+    return _pattern_table(bott, divisor, _checked_box(bott, divisor, cap), _demazure_pattern)

@@ -29,13 +29,13 @@ nonzero degrees entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 from operator import mul, or_
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bott import BottData, _check_coeffs
-from .errors import NotInPicardBasis, VanishingContradiction
+from .errors import InconsistentData, IndexOutOfRange, NotInPicardBasis, VanishingContradiction
 from .rootsystem import _reflect_each
 from .toric import CohomologyTable, DEFAULT_BOX_CAP, ToricDivisor, cohomology_table
 
@@ -54,23 +54,23 @@ def _upper_coeffs(bott: BottData, divisor) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ConditionProfile:
-    """Exact min and max of {C_i^eps} per index, with the two flags."""
+    """Exact min and max of {C_i^eps} per index, with the two flags that
+    _verdict derives from them."""
 
     c_min: Tuple[int, ...]
     c_max: Tuple[int, ...]
-    plus_ok: Tuple[bool, ...]
-    minus_ok: Tuple[bool, ...]
+    plus_ok: Tuple[bool, ...] = field(init=False)
+    minus_ok: Tuple[bool, ...] = field(init=False)
 
     def __post_init__(self):
-        for i, (lo, hi, p, m) in enumerate(
-            zip(self.c_min, self.c_max, self.plus_ok, self.minus_ok), start=1
-        ):
+        if len(self.c_max) != len(self.c_min):
+            raise IndexOutOfRange("c_max vector of length", len(self.c_max), len(self.c_min))
+        for i, (lo, hi) in enumerate(zip(self.c_min, self.c_max), start=1):
             if lo > hi:
-                raise ValueError(f"inverted value range at index {i}")
-            if p != (lo >= -1) or m != (hi <= -1):
-                raise ValueError(f"flags inconsistent with bounds at index {i}")
-            if p and m and not (lo == hi == -1):
-                raise ValueError(f"both flags at index {i} need all values equal -1")
+                raise InconsistentData(f"inverted value range [{lo}, {hi}] at index {i}")
+        verdict = _verdict(self.c_min, self.c_max)
+        object.__setattr__(self, "plus_ok", verdict.plus_ok)
+        object.__setattr__(self, "minus_ok", verdict.minus_ok)
 
 
 def condition_profile(bott: BottData, a: Sequence[int]) -> ConditionProfile:
@@ -306,12 +306,7 @@ def _vanishing_report(bott: BottData, a: Tuple[int, ...]) -> VanishingReport:
     the grid sweep over the single point a."""
     ((_, c_min, c_max),) = _grid_bounds(bott, tuple((v, v) for v in a))
     verdict = _verdict(c_min, c_max)
-    profile = ConditionProfile(
-        c_min=tuple(c_min),
-        c_max=tuple(c_max),
-        plus_ok=verdict.plus_ok,
-        minus_ok=verdict.minus_ok,
-    )
+    profile = ConditionProfile(c_min=tuple(c_min), c_max=tuple(c_max))
     cert_minus, cert_plus = best_certificates(profile)
     return VanishingReport(
         profile=profile,
@@ -348,7 +343,7 @@ def check_toric_vanishing(
     profile = _condition_profile(bott, a)
     e = tuple(int(s) for s in eta)
     if not is_admissible(profile, e):
-        raise ValueError(f"certificate {e} is not admissible for this divisor")
+        raise InconsistentData(f"certificate {e} is not admissible for this divisor")
     cert = VanishingCertificate(eta=e)
     table = cohomology_table(bott, ToricDivisor.upper(a), cap=cap)
     return all(table.dims[i] == 0 for i in cert.vanished_degrees())

@@ -95,8 +95,9 @@ def test_word_validation():
 def test_sign_helpers():
     assert signs("+-+") == (1, -1, 1)
     assert signs("") == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         signs("+x")
+    assert type(info.value) is IndexOutOfRange
     assert all_sign_vectors(0) == ((),)
     assert all_sign_vectors(2) == ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -272,7 +273,7 @@ def test_public_entry_points_check_lengths(rank3_tower, call):
         call(rank3_tower)
 
 
-def test_alpha_memo_is_freed_with_its_tower():
+def test_tower_is_freed_after_a_profile():
     bott = build_bott_data(cartan_of_type("A", 3), Word((2, 1, 3, 2, 1)))
     condition_profile(bott, (1, -2, 0, 3, -1))
     ref = weakref.ref(bott)

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from bottsamelson import det, rank, sparse_rank
+import pytest
+
+from bottsamelson import NonSquare, det, rank, sparse_rank
 
 
 def reference_rank(matrix) -> int:
@@ -48,6 +50,12 @@ def test_det_small_cases():
     assert det([[1, 2], [2, 4]]) == 0
 
 
+def test_det_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError) as info:
+        det([[1, 2]])
+    assert type(info.value) is NonSquare
+
+
 def test_det_needs_row_swap():
     assert det([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
 
@@ -65,6 +73,25 @@ def test_sparse_rank_matches_rational_elimination():
         assert sparse_rank(to_columns(matrix)) == expected
         if rows:
             assert rank(matrix) == expected
+    # no unit entries, so every pivot is a non-unit and about half are
+    # negative: the updates where the pivot divides the entry it clears and
+    # the scaled ones, with either sign of pivot and entry
+    for _ in range(200):
+        rows = rng.randint(1, 8)
+        cols = rng.randint(1, 8)
+        matrix = [
+            [rng.choice((0, 0, 2, -2, -3, 4, -6, 9, -12)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        for _ in range(rng.randint(0, 2)):  # a dependent column
+            j, k = rng.randrange(cols), rng.randrange(cols)
+            for row in matrix:
+                row[k] = -2 * row[j]
+        assert sparse_rank(to_columns(matrix)) == reference_rank(matrix)
+        assert rank(matrix) == reference_rank(matrix)
+    assert rank([[-2, 4], [3, -6]]) == 1
+    assert rank([[-2, 3], [4, -5]]) == 2
+    assert rank([[-3, 6, -9], [2, -4, 7], [-6, 12, -18]]) == 2
 
 
 def test_sparse_rank_big_integers():

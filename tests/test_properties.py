@@ -1,7 +1,9 @@
 """Property tests: the reachable-root sweeps against enumeration, scan
 records against single-point reports, the sign-pattern sweep against
-per-weight masks, and Serre duality of the toric table, over finite,
-affine and indefinite matrices; and report_json against json.dumps.
+per-weight masks, the per-weight masks and the closed form against phi
+from the beta formula, and Serre duality of the toric table, over
+finite, affine and indefinite matrices; and report_json against
+json.dumps.
 
 Derandomized, so the examples are the same on every run.
 """
@@ -25,6 +27,7 @@ from bottsamelson import (
     cohomology_table,
     condition_profile,
     parse_problem,
+    phi,
     report_json,
     run_scan,
     validate_gcm,
@@ -33,6 +36,7 @@ from bottsamelson import (
 )
 from bottsamelson.analysis import _alpha_summary
 from bottsamelson.bott import _sign_masks, _sign_pattern_counts
+from bottsamelson.toric import _closed_degree
 
 MATRICES = {
     "A3": cartan_of_type("A", 3),
@@ -113,6 +117,53 @@ def test_sign_pattern_counts_equal_per_weight_masks(data):
     for b in (box, grown):
         expected = Counter(_sign_masks(bott, divisor, m) for m in b.points())
         assert _sign_pattern_counts(bott, divisor, b.lo, b.hi) == expected
+
+
+def reference_phi_values(bott, divisor, w):
+    """phi_m on e_1^+, ..., e_N^+ and on e_1^-, ..., e_N^-, from the beta
+    formula rather than the stored rays (the former bott._phi_values)."""
+    a, b, beta = divisor.a, divisor.b, bott.beta
+    n = bott.length
+    up = [w[i] + a[i] for i in range(n)]
+    down = [
+        b[i] - w[i] - sum(beta[i][j] * w[j] for j in range(i + 1, n)) for i in range(n)
+    ]
+    return up, down
+
+
+def reference_classify_weight(bott, divisor, w):
+    """The closed form read off the phi values themselves (the former
+    toric._classify_weight): None for all zero, else the degree."""
+    degree = 0
+    for up, down in zip(*reference_phi_values(bott, divisor, w)):
+        if (up < 0) != (down < 0):
+            return None
+        if up < 0:
+            degree += 1
+    return degree
+
+
+@PROPERTY
+@given(st.data())
+def test_sign_masks_and_closed_degree_equal_phi_references(data):
+    bott = data.draw(towers(max_length=6))
+    n = bott.length
+    divisor = ToricDivisor(a=data.draw(coeffs(n, 3)), b=data.draw(coeffs(n, 3)))
+    assume(any(divisor.b))
+    grown = weight_box(bott, divisor).enlarged()
+    weights = data.draw(st.lists(
+        st.tuples(*(st.integers(l, h) for l, h in zip(grown.lo, grown.hi))),
+        min_size=1, max_size=30,
+    ))
+    for m in weights:
+        up, down = reference_phi_values(bott, divisor, m)
+        bad_plus, bad_minus = _sign_masks(bott, divisor, m)
+        for i in range(n):
+            assert (bad_plus >> i & 1) == (up[i] < 0)
+            assert (bad_minus >> i & 1) == (down[i] < 0)
+            assert phi(bott, divisor, m, (i + 1, 1)) == up[i]
+            assert phi(bott, divisor, m, (i + 1, -1)) == down[i]
+        assert _closed_degree(bad_plus, bad_minus) == reference_classify_weight(bott, divisor, m)
 
 
 @st.composite

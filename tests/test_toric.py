@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import bottsamelson.toric as toric
 from bottsamelson import (
     BoxTooLarge,
     CohomologyTable,
@@ -135,13 +136,12 @@ def test_box_cap_is_enforced():
     assert cohomology_table(P1, ToricDivisor.upper((100,)), cap=200).dims == (101, 0)
 
 
-def test_witness_collection_and_truncation():
+def test_witness_collection_and_truncation(monkeypatch):
     table = cohomology_table(P1, ToricDivisor.upper((3,)), collect_witnesses=True)
     assert table.witnesses == (((-3,), 0), ((-2,), 0), ((-1,), 0), ((0,), 0))
     assert not table.witnesses_truncated
-    capped = cohomology_table(
-        P1, ToricDivisor.upper((3,)), collect_witnesses=True, witness_cap=2
-    )
+    monkeypatch.setattr(toric, "WITNESS_CAP", 2)
+    capped = cohomology_table(P1, ToricDivisor.upper((3,)), collect_witnesses=True)
     assert capped.witnesses == (((-3,), 0), ((-2,), 0))
     assert capped.witnesses_truncated
 

@@ -5,6 +5,9 @@ from itertools import product
 import pytest
 
 from bottsamelson import (
+    ConditionProfile,
+    InconsistentData,
+    IndexOutOfRange,
     NotInPicardBasis,
     ToricDivisor,
     VanishingCertificate,
@@ -202,8 +205,23 @@ def test_check_toric_vanishing(rank3_tower):
     profile = condition_profile(rank3_tower, (-1, -1, 1, 0))
     for eta in admissible_etas(profile):
         assert check_toric_vanishing(rank3_tower, (-1, -1, 1, 0), eta)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         check_toric_vanishing(rank3_tower, (-1, -1, 1, 0), (1, 0, 0, 0))
+    assert type(info.value) is InconsistentData
+
+
+def test_condition_profile_derives_its_flags():
+    profile = ConditionProfile(c_min=(-2, -1, 1, -3), c_max=(0, -1, 1, -1))
+    assert profile.plus_ok == (False, True, True, False)
+    assert profile.minus_ok == (False, True, False, True)
+    swept = condition_profile(SL3, (0, -1))
+    assert ConditionProfile(c_min=swept.c_min, c_max=swept.c_max) == swept
+    with pytest.raises(ValueError) as info:
+        ConditionProfile(c_min=(1,), c_max=(0,))
+    assert type(info.value) is InconsistentData
+    with pytest.raises(ValueError) as info:
+        ConditionProfile(c_min=(1, 0), c_max=(1,))
+    assert type(info.value) is IndexOutOfRange
 
 
 def test_shifting_the_last_coefficient_moves_its_flags():
