@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -44,7 +45,7 @@ from .toric import (
     demazure_table,
     weight_box,
 )
-from .vanishing import _check_vanished, _grid_bounds, _verdict, vanishing_report
+from .vanishing import _check_vanished, _conclusions, _flag_keys, _sweep_bounds, vanishing_report
 
 SCHEMA_VERSION = 1
 _INT64_MAX = 2**63 - 1
@@ -326,7 +327,10 @@ def scan_records(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> Iterator[dict
     One sweep over the grid's distinct suffixes gives every point's
     condition bounds (see vanishing._sweep_bounds), so the cost grows with
     the suffixes and their reachable vectors, not with the grid volume
-    times the reachable vectors.
+    times the reachable vectors. One pass over those tables then gives
+    every point's flag key (vanishing._flag_keys); the conclusions depend
+    on the key alone and are built once per distinct key, at most
+    2(N + 1)^2 of them.
     """
     if spec.scan is None:
         raise ProblemError("the scan command needs a 'scan' entry with ranges")
@@ -335,8 +339,14 @@ def scan_records(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> Iterator[dict
         volume *= hi - lo + 1
     if volume > cap:
         raise BoxTooLarge(volume, cap)
-    for a, c_min, c_max in _grid_bounds(spec.bott(), spec.scan):
-        verdict = _verdict(c_min, c_max)
+    n = len(spec.scan)
+    keys = _flag_keys(spec.scan, _sweep_bounds(spec.bott(), spec.scan))
+    grid = product(*(range(lo, hi + 1) for lo, hi in spec.scan))
+    conclusions = {}
+    for a, key in zip(grid, keys):
+        verdict = conclusions.get(key)
+        if verdict is None:
+            verdict = conclusions[key] = _conclusions(n, *key)
         yield {
             "a": list(a),
             "vanished": list(verdict.vanished),

@@ -25,6 +25,16 @@ report aggregates the two extreme certificates (all allowed minus signs,
 all allowed plus signs); indices where both conditions hold (C_i^eps
 identically -1) make both windows bite and can empty the set of possibly
 nonzero degrees entirely.
+
+What the report concludes depends on the flags only through three
+numbers, the flag key: how many indices satisfy minus_ok, how many satisfy
+plus_ok, and whether every index satisfies at least one. The minus
+certificate kills the degrees below the first count, the plus certificate
+those above N minus the second, and which indices carry the flags does not
+matter; a single surviving degree is claimed only when every index is
+flagged. So a grid of a-vectors has at most 2(N + 1)^2 distinct
+conclusions, and a scan keys every grid point in one more downward pass
+over the sweep's tables, then builds the conclusions once per key.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from .toric import CohomologyTable, DEFAULT_BOX_CAP, ToricDivisor, cohomology_ta
 
 Eta = Tuple[int, ...]
 Range = Tuple[int, int]
+_FlagKey = Tuple[int, int, bool]  # (#minus_ok, #plus_ok, every index flagged)
 
 
 def _upper_coeffs(bott: BottData, divisor) -> Tuple[int, ...]:
@@ -55,7 +66,7 @@ def _upper_coeffs(bott: BottData, divisor) -> Tuple[int, ...]:
 @dataclass(frozen=True)
 class ConditionProfile:
     """Exact min and max of {C_i^eps} per index, with the two flags that
-    _verdict derives from them."""
+    _flags derives from them."""
 
     c_min: Tuple[int, ...]
     c_max: Tuple[int, ...]
@@ -68,9 +79,9 @@ class ConditionProfile:
         for i, (lo, hi) in enumerate(zip(self.c_min, self.c_max), start=1):
             if lo > hi:
                 raise InconsistentData(f"inverted value range [{lo}, {hi}] at index {i}")
-        verdict = _verdict(self.c_min, self.c_max)
-        object.__setattr__(self, "plus_ok", verdict.plus_ok)
-        object.__setattr__(self, "minus_ok", verdict.minus_ok)
+        plus_ok, minus_ok = _flags(self.c_min, self.c_max)
+        object.__setattr__(self, "plus_ok", plus_ok)
+        object.__setattr__(self, "minus_ok", minus_ok)
 
 
 def condition_profile(bott: BottData, a: Sequence[int]) -> ConditionProfile:
@@ -156,49 +167,56 @@ def _suffix_counts(ranges: Sequence[Range]) -> List[int]:
     return counts
 
 
-def _grid_bounds(
-    bott: BottData, ranges: Sequence[Range]
-) -> Iterator[Tuple[Tuple[int, ...], List[int], List[int]]]:
-    """(a, c_min, c_max) for every a in the grid, in lexicographic order."""
-    tables = _sweep_bounds(bott, ranges)
-    counts = _suffix_counts(ranges)
-    positions = range(len(ranges) - 1, -1, -1)
-    for a in product(*(range(lo, hi + 1) for lo, hi in ranges)):
-        c_min, c_max = list(a), list(a)
-        k = 0
-        for p in positions:
-            lo, hi = tables[p][k]
-            c_min[p] += lo
-            c_max[p] += hi
-            k += (a[p] - ranges[p][0]) * counts[p]
-        yield a, c_min, c_max
+def _flags(c_min: Sequence[int], c_max: Sequence[int]) -> Tuple[Tuple[bool, ...], Tuple[bool, ...]]:
+    """The flag rule: plus_ok(i) is min C_i^eps >= -1, minus_ok(i) is
+    max C_i^eps <= -1."""
+    return tuple(v >= -1 for v in c_min), tuple(v <= -1 for v in c_max)
 
 
-class _Verdict(NamedTuple):
-    plus_ok: Tuple[bool, ...]
-    minus_ok: Tuple[bool, ...]
+def _flag_keys(ranges: Sequence[Range], tables: List[List[Tuple[int, int]]]) -> List[_FlagKey]:
+    """The flag key of every a-vector of a grid, in lexicographic order.
+
+    tables are _sweep_bounds(bott, ranges). One pass from index N down to 1
+    keys every suffix (a_i, ..., a_N) of the grid: index i's two flags,
+    from a_i and tables[i-1][k] by the rule of _flags, are added to the key
+    of the k-th suffix (a_{i+1}, ..., a_N), which sits at position k of the
+    previous pass. Keys of index i are numbered like the entries of
+    tables[i-2], so after index 1 there is one key per grid point, in the
+    order of product(ranges).
+    """
+    keys: List[_FlagKey] = [(0, 0, True)]
+    for p in range(len(ranges) - 1, -1, -1):
+        lo, hi = ranges[p]
+        table = tables[p]
+        # t = -1 - a_i, so b_lo >= t is plus_ok(i) and b_hi <= t is minus_ok(i)
+        keys = [
+            (minus + (b_hi <= t), plus + (b_lo >= t), every and (b_lo >= t or b_hi <= t))
+            for t in range(-1 - lo, -2 - hi, -1)
+            for (b_lo, b_hi), (minus, plus, every) in zip(table, keys)
+        ]
+    return keys
+
+
+class _Conclusions(NamedTuple):
     vanished: Tuple[int, ...]
     possible_window: Tuple[int, ...]
     single_degree: Optional[int]
     everything_vanishes: bool
 
 
-def _verdict(c_min: Sequence[int], c_max: Sequence[int]) -> _Verdict:
-    """Flags and conclusions from the per-index bounds of C_i^eps.
+def _conclusions(n: int, minus: int, plus: int, every: bool) -> _Conclusions:
+    """What the two extreme certificates conclude from a flag key.
 
-    The two extreme certificates take every allowed minus and every allowed
-    plus sign, so degrees below the minus count and above N minus the plus
-    count vanish. single_degree is reported only when every index carries a
-    flag and exactly one degree survives.
+    They take every allowed minus and every allowed plus sign, so degrees
+    below the minus count and above N minus the plus count vanish.
+    single_degree is reported only when every index carries a flag and
+    exactly one degree survives.
     """
-    n = len(c_min)
-    plus_ok = tuple(v >= -1 for v in c_min)
-    minus_ok = tuple(v <= -1 for v in c_max)
-    low, high = sum(minus_ok), n + 1 - sum(plus_ok)
+    low, high = minus, n + 1 - plus
     possible = tuple(range(low, high))
     vanished = tuple(d for d in range(n + 1) if d < low or d >= high)
-    single = possible[0] if len(possible) == 1 and all(map(or_, plus_ok, minus_ok)) else None
-    return _Verdict(plus_ok, minus_ok, vanished, possible, single, not possible)
+    single = possible[0] if len(possible) == 1 and every else None
+    return _Conclusions(vanished, possible, single, not possible)
 
 
 @dataclass(frozen=True)
@@ -303,10 +321,15 @@ def vanishing_report(
 
 def _vanishing_report(bott: BottData, a: Tuple[int, ...]) -> VanishingReport:
     """vanishing_report without the toric table, for a checked a-vector:
-    the grid sweep over the single point a."""
-    ((_, c_min, c_max),) = _grid_bounds(bott, tuple((v, v) for v in a))
-    verdict = _verdict(c_min, c_max)
-    profile = ConditionProfile(c_min=tuple(c_min), c_max=tuple(c_max))
+    the grid sweep over the single point a, whose tables hold one entry
+    each."""
+    tables = _sweep_bounds(bott, tuple((v, v) for v in a))
+    profile = ConditionProfile(
+        c_min=tuple(v + lo for v, ((lo, _),) in zip(a, tables)),
+        c_max=tuple(v + hi for v, ((_, hi),) in zip(a, tables)),
+    )
+    plus_ok, minus_ok = profile.plus_ok, profile.minus_ok
+    verdict = _conclusions(len(a), sum(minus_ok), sum(plus_ok), all(map(or_, plus_ok, minus_ok)))
     cert_minus, cert_plus = best_certificates(profile)
     return VanishingReport(
         profile=profile,

@@ -1,4 +1,6 @@
 import json
+from itertools import product
+from operator import or_
 
 import pytest
 
@@ -18,6 +20,7 @@ from bottsamelson import (
     run_weights,
     vanishing_report,
 )
+from bottsamelson.vanishing import _flag_keys, _sweep_bounds
 
 BASE_DOC = {
     "cartan": {"type": "A", "rank": 3},
@@ -171,6 +174,62 @@ def test_scan_matches_individual_reports():
         assert tuple(rec["vanished"]) == rep.vanished
         assert rec["single_degree"] == rep.single_degree
         assert rec["everything_vanishes"] == rep.everything_vanishes
+
+
+def _report_record(bott, a):
+    report = vanishing_report(bott, tuple(a), with_toric=False)
+    return {
+        "a": list(a),
+        "vanished": list(report.vanished),
+        "single_degree": report.single_degree,
+        "everything_vanishes": report.everything_vanishes,
+    }
+
+
+KEYED_GRIDS = {
+    "indefinite": ([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]], [3, 1, 2, 3, 1]),
+    "A1^(1)": ([[2, -2], [-2, 2]], [1, 2, 2, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEYED_GRIDS))
+def test_scan_keys_agree_with_reports_on_a_1024_point_grid(name):
+    matrix, word = KEYED_GRIDS[name]
+    ranges = [[-3, 0], [-2, 1], [-3, 0], [-2, 1], [-2, 1]]
+    problem = {"cartan": {"matrix": matrix}, "word": word, "scan": ranges}
+    spec = parse_problem(problem)
+    bott = build_bott_data(spec.gcm, spec.word)
+    records = run_scan(spec)["records"]
+    grid = list(product(*(range(lo, hi + 1) for lo, hi in ranges)))
+    assert len(records) == len(grid) == 1024
+    assert records == [_report_record(bott, a) for a in grid]
+    assert any(rec["single_degree"] is not None for rec in records)
+    assert any(rec["everything_vanishes"] for rec in records)
+    keys = _flag_keys(spec.scan, _sweep_bounds(bott, spec.scan))
+    for a, key in zip(grid, keys):
+        profile = vanishing_report(bott, a, with_toric=False).profile
+        plus_ok, minus_ok = profile.plus_ok, profile.minus_ok
+        assert key == (sum(minus_ok), sum(plus_ok), all(map(or_, plus_ok, minus_ok)))
+
+
+def test_scan_of_a_one_letter_word():
+    spec = parse_problem({"cartan": [[2]], "word": [1], "scan": [[-3, 1]]})
+    records = run_scan(spec)["records"]
+    # C_1 = a_1: minus flag below 0, plus flag from -1 up, both at -1
+    assert records == [
+        {"a": [-3], "vanished": [0], "single_degree": 1, "everything_vanishes": False},
+        {"a": [-2], "vanished": [0], "single_degree": 1, "everything_vanishes": False},
+        {"a": [-1], "vanished": [0, 1], "single_degree": None, "everything_vanishes": True},
+        {"a": [0], "vanished": [1], "single_degree": 0, "everything_vanishes": False},
+        {"a": [1], "vanished": [1], "single_degree": 0, "everything_vanishes": False},
+    ]
+
+
+@pytest.mark.parametrize("a", [(2, 2, 2, 2), (-1, -1, 1, 0), (0, -3, 2, -1)])
+def test_scan_of_a_one_point_grid(a):
+    spec = parse_problem({**BASE_DOC, "scan": [[v, v] for v in a]})
+    bott = build_bott_data(spec.gcm, spec.word)
+    assert run_scan(spec)["records"] == [_report_record(bott, a)]
 
 
 def test_scan_grid_cap():

@@ -1,9 +1,9 @@
 """Property tests: the reachable-root sweeps against enumeration, scan
 records against single-point reports, the sign-pattern sweep against
 per-weight masks, the per-weight masks and the closed form against phi
-from the beta formula, and Serre duality of the toric table, over
-finite, affine and indefinite matrices; and report_json against
-json.dumps.
+from the beta formula, Serre duality of the toric table, and the corner
+weights inside the weight box, over finite, affine and indefinite
+matrices; and report_json against json.dumps.
 
 Derandomized, so the examples are the same on every run.
 """
@@ -33,6 +33,7 @@ from bottsamelson import (
     validate_gcm,
     vanishing_report,
     weight_box,
+    x_vector,
 )
 from bottsamelson.analysis import _alpha_summary
 from bottsamelson.bott import _sign_masks, _sign_pattern_counts
@@ -117,6 +118,17 @@ def test_sign_pattern_counts_equal_per_weight_masks(data):
     for b in (box, grown):
         expected = Counter(_sign_masks(bott, divisor, m) for m in b.points())
         assert _sign_pattern_counts(bott, divisor, b.lo, b.hi) == expected
+
+
+@PROPERTY
+@given(st.data())
+def test_corner_weights_lie_in_the_weight_box(data):
+    bott = data.draw(towers(max_length=6))
+    n = bott.length
+    a = data.draw(coeffs(n, 4))
+    box = weight_box(bott, ToricDivisor.upper(a))
+    for eps in all_sign_vectors(n):
+        assert box.contains(x_vector(bott, a, eps))
 
 
 def reference_phi_values(bott, divisor, w):
