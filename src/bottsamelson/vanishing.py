@@ -34,14 +34,15 @@ those above N minus the second, and which indices carry the flags does not
 matter; a single surviving degree is claimed only when every index is
 flagged. So a grid of a-vectors has at most 2(N + 1)^2 distinct
 conclusions, and a scan keys every grid point in one more downward pass
-over the sweep's tables, then builds the conclusions once per key.
+over the sweep's tables, then builds the conclusions once per key; a
+single report keys its one point by the same pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
-from operator import mul, or_
+from operator import mul
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bott import BottData, _check_coeffs
@@ -323,13 +324,14 @@ def _vanishing_report(bott: BottData, a: Tuple[int, ...]) -> VanishingReport:
     """vanishing_report without the toric table, for a checked a-vector:
     the grid sweep over the single point a, whose tables hold one entry
     each."""
-    tables = _sweep_bounds(bott, tuple((v, v) for v in a))
+    ranges = tuple((v, v) for v in a)
+    tables = _sweep_bounds(bott, ranges)
     profile = ConditionProfile(
         c_min=tuple(v + lo for v, ((lo, _),) in zip(a, tables)),
         c_max=tuple(v + hi for v, ((_, hi),) in zip(a, tables)),
     )
-    plus_ok, minus_ok = profile.plus_ok, profile.minus_ok
-    verdict = _conclusions(len(a), sum(minus_ok), sum(plus_ok), all(map(or_, plus_ok, minus_ok)))
+    (key,) = _flag_keys(ranges, tables)
+    verdict = _conclusions(len(a), *key)
     cert_minus, cert_plus = best_certificates(profile)
     return VanishingReport(
         profile=profile,

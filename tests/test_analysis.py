@@ -20,7 +20,7 @@ from bottsamelson import (
     run_weights,
     vanishing_report,
 )
-from bottsamelson.vanishing import _flag_keys, _sweep_bounds
+from bottsamelson.vanishing import _conclusions, _flag_keys, _sweep_bounds
 
 BASE_DOC = {
     "cartan": {"type": "A", "rank": 3},
@@ -158,58 +158,54 @@ def test_report_json_refuses_what_json_refuses():
         report_json({"a": 1, 2: 1})
 
 
-def test_scan_matches_individual_reports():
-    spec = parse_problem({
-        "cartan": {"type": "A", "rank": 2},
-        "word": [1, 2],
-        "scan": [[-2, 0], [-1, 1]],
-    })
-    doc = run_scan(spec)
-    assert len(doc["records"]) == 9
-    assert doc["records"][0]["a"] == [-2, -1]
-    assert doc["records"][-1]["a"] == [0, 1]
-    bott = build_bott_data(spec.gcm, spec.word)
-    for rec in doc["records"]:
-        rep = vanishing_report(bott, tuple(rec["a"]), with_toric=False)
-        assert tuple(rec["vanished"]) == rep.vanished
-        assert rec["single_degree"] == rep.single_degree
-        assert rec["everything_vanishes"] == rep.everything_vanishes
-
-
-def _report_record(bott, a):
-    report = vanishing_report(bott, tuple(a), with_toric=False)
-    return {
-        "a": list(a),
-        "vanished": list(report.vanished),
-        "single_degree": report.single_degree,
-        "everything_vanishes": report.everything_vanishes,
-    }
-
-
 KEYED_GRIDS = {
     "indefinite": ([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]], [3, 1, 2, 3, 1]),
     "A1^(1)": ([[2, -2], [-2, 2]], [1, 2, 2, 1, 2]),
 }
+KEYED_RANGES = [[-3, 0], [-2, 1], [-3, 0], [-2, 1], [-2, 1]]
+
+# (cartan, word, scan ranges): a small grid, one-point grids (every range of
+# width 1) and the 1,024-point grids of KEYED_GRIDS
+SCAN_CASES = [
+    ({"type": "A", "rank": 2}, [1, 2], [[-2, 0], [-1, 1]]),
+    *((BASE_DOC["cartan"], BASE_DOC["word"], [[v, v] for v in a])
+      for a in [(2, 2, 2, 2), (-1, -1, 1, 0), (0, -3, 2, -1)]),
+    *(({"matrix": matrix}, word, KEYED_RANGES) for matrix, word in KEYED_GRIDS.values()),
+]
+
+
+def test_scan_matches_individual_reports():
+    for cartan, word, ranges in SCAN_CASES:
+        spec = parse_problem({"cartan": cartan, "word": word, "scan": ranges})
+        bott = build_bott_data(spec.gcm, spec.word)
+        expected = []
+        for a in product(*(range(lo, hi + 1) for lo, hi in ranges)):
+            rep = vanishing_report(bott, a, with_toric=False)
+            expected.append({
+                "a": list(a),
+                "vanished": list(rep.vanished),
+                "single_degree": rep.single_degree,
+                "everything_vanishes": rep.everything_vanishes,
+            })
+        assert run_scan(spec)["records"] == expected
 
 
 @pytest.mark.parametrize("name", sorted(KEYED_GRIDS))
 def test_scan_keys_agree_with_reports_on_a_1024_point_grid(name):
     matrix, word = KEYED_GRIDS[name]
-    ranges = [[-3, 0], [-2, 1], [-3, 0], [-2, 1], [-2, 1]]
-    problem = {"cartan": {"matrix": matrix}, "word": word, "scan": ranges}
-    spec = parse_problem(problem)
+    spec = parse_problem({"cartan": {"matrix": matrix}, "word": word, "scan": KEYED_RANGES})
     bott = build_bott_data(spec.gcm, spec.word)
-    records = run_scan(spec)["records"]
-    grid = list(product(*(range(lo, hi + 1) for lo, hi in ranges)))
-    assert len(records) == len(grid) == 1024
-    assert records == [_report_record(bott, a) for a in grid]
-    assert any(rec["single_degree"] is not None for rec in records)
-    assert any(rec["everything_vanishes"] for rec in records)
+    grid = list(product(*(range(lo, hi + 1) for lo, hi in KEYED_RANGES)))
     keys = _flag_keys(spec.scan, _sweep_bounds(bott, spec.scan))
+    assert len(keys) == len(grid) == 1024
     for a, key in zip(grid, keys):
         profile = vanishing_report(bott, a, with_toric=False).profile
         plus_ok, minus_ok = profile.plus_ok, profile.minus_ok
         assert key == (sum(minus_ok), sum(plus_ok), all(map(or_, plus_ok, minus_ok)))
+    # the grid reaches both special verdicts
+    verdicts = [_conclusions(len(word), *key) for key in set(keys)]
+    assert any(v.single_degree is not None for v in verdicts)
+    assert any(v.everything_vanishes for v in verdicts)
 
 
 def test_scan_of_a_one_letter_word():
@@ -223,13 +219,6 @@ def test_scan_of_a_one_letter_word():
         {"a": [0], "vanished": [1], "single_degree": 0, "everything_vanishes": False},
         {"a": [1], "vanished": [1], "single_degree": 0, "everything_vanishes": False},
     ]
-
-
-@pytest.mark.parametrize("a", [(2, 2, 2, 2), (-1, -1, 1, 0), (0, -3, 2, -1)])
-def test_scan_of_a_one_point_grid(a):
-    spec = parse_problem({**BASE_DOC, "scan": [[v, v] for v in a]})
-    bott = build_bott_data(spec.gcm, spec.word)
-    assert run_scan(spec)["records"] == [_report_record(bott, a)]
 
 
 def test_scan_grid_cap():
