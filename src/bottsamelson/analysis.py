@@ -18,6 +18,7 @@ strings) or as text. All indices and weights in documents and reports are
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import product
 from json.encoder import encode_basestring_ascii
@@ -338,7 +339,7 @@ def scan_records(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> Iterator[dict
     for lo, hi in spec.scan:
         volume *= hi - lo + 1
     if volume > cap:
-        raise BoxTooLarge(volume, cap)
+        raise BoxTooLarge(volume, cap, "scan grid")
     n = len(spec.scan)
     keys = _flag_keys(spec.scan, _sweep_bounds(spec.bott(), spec.scan))
     grid = product(*(range(lo, hi + 1) for lo, hi in spec.scan))
@@ -414,6 +415,16 @@ def report_json(doc: dict) -> str:
     int beyond the signed 64-bit range is replaced by its decimal string,
     written directly: with an indent, json.dumps takes its pure-Python
     encoder.
+
+    A list whose first item is a dict with exactly the scan-record keys
+    goes to _render_records, which renders the text after "a" once per
+    distinct conclusion. It is exact: the memo is keyed on the repr of the
+    conclusion, so values that compare equal but render differently (True
+    and 1, 1.0 and 1) never share an entry, and "a" is written from its
+    repr only when that is a list of ints below 10**18 in absolute value,
+    whose repr is their JSON. Every other record is rendered whole. (An
+    int subclass whose __repr__ prints other digits than its value would
+    be written as that repr; json.dumps writes the value.)
     """
     return _render(doc, "\n")
 
@@ -440,6 +451,8 @@ def _render(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if type(value[0]) is dict and value[0].keys() == _RECORD_KEYS:
+            return _render_records(value, newline)
         inner = newline + "  "
         # 64-bit ints, most items of most reports, are written without a call
         return "[" + inner + ("," + inner).join([
@@ -447,6 +460,44 @@ def _render(value, newline: str) -> str:
             for v in value
         ]) + newline + "]"
     return json.dumps(value)
+
+
+_RECORD_KEYS = frozenset(("a", "everything_vanishes", "single_degree", "vanished"))
+# repr of a non-empty list of plain ints below 10**18 in absolute value,
+# each of which json writes as repr writes it
+_PLAIN_INTS = re.compile(r"\[-?[0-9]{1,18}(?:, -?[0-9]{1,18})*\]")
+
+
+def _render_records(records, newline: str) -> str:
+    """JSON text of scan records, its nested lines starting with newline.
+
+    Each distinct conclusion's text is rendered once; see report_json for
+    which records share it.
+    """
+    inner = newline + "  "
+    field = inner + "  "
+    head = "{" + field + '"a": [' + field + "  "
+    comma = "," + field + "  "
+    tails = {}
+    items = []
+    for rec in records:
+        text = repr(rec["a"]) if type(rec) is dict and rec.keys() == _RECORD_KEYS else ""
+        if not _PLAIN_INTS.fullmatch(text):
+            items.append(_render(rec, inner))
+            continue
+        e, s, v = rec["everything_vanishes"], rec["single_degree"], rec["vanished"]
+        memo = repr((e, s, v))
+        tail = tails.get(memo)
+        if tail is None:
+            tail = tails[memo] = (
+                field + "]," + field + '"everything_vanishes": ' + _render(e, field)
+                + "," + field + '"single_degree": ' + _render(s, field)
+                + "," + field + '"vanished": ' + _render(v, field) + inner + "}"
+            )
+        items.append(head + text[1:-1].replace(", ", comma) + tail)
+    if not items:
+        return "[]"
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _key(key) -> str:

@@ -179,7 +179,7 @@ def main():
 _file_argument = click.argument("file", type=click.File("r"))
 _json_flag = click.option("--json", "as_json", is_flag=True, help="emit canonical JSON")
 _cap_option = click.option(
-    "--cap", type=int, default=DEFAULT_BOX_CAP, show_default=True,
+    "--cap", type=click.IntRange(min=1), default=DEFAULT_BOX_CAP, show_default=True,
     help="maximum number of enumerated lattice points",
 )
 

@@ -66,11 +66,11 @@ class NotStrictlyIncreasing(BottSamelsonError):
 
 
 class BoxTooLarge(BottSamelsonError):
-    def __init__(self, volume: int, cap: int):
+    def __init__(self, volume: int, cap: int, what: str = "weight box"):
         self.volume = volume
         self.cap = cap
         super().__init__(
-            f"weight box has {volume} lattice points, exceeding the cap of {cap}"
+            f"{what} has {volume} lattice points, exceeding the cap of {cap}"
         )
 
 

@@ -115,6 +115,23 @@ def test_default_cap_refuses_a_box_just_over_two_million_points():
     assert "2000001" in result.output
 
 
+def test_scan_cap_error_names_the_scan_grid():
+    path = Path(__file__).parent.parent / "demos" / "problems" / "scan_surface.json"
+    result = run(["scan", "--cap", "10", str(path)])
+    assert result.exit_code == 3
+    assert result.stderr == (
+        "error: scan grid has 25 lattice points, exceeding the cap of 10\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["analyze", "toric", "weights", "scan", "oracle"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_is_a_usage_error(command, cap):
+    result = run([command, "--cap", cap, "-"], stdin=LINE)
+    assert result.exit_code == 2
+    assert "Invalid value for '--cap'" in result.stderr
+
+
 def test_exit_code_for_oracle_mismatch(monkeypatch):
     # the honest computations always agree, so exercise the exit-code wiring
     # by stubbing the report the command renders

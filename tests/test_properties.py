@@ -266,3 +266,84 @@ json_documents = st.recursive(
 def test_report_json_equals_json_dumps_of_stringified_ints(doc):
     expected = json.dumps(_stringify_big_ints(doc), sort_keys=True, indent=2)
     assert report_json(doc) == expected
+
+
+
+# Scan-shaped records reach report_json's per-conclusion writer only when a
+# list's first item is a dict with exactly the scan-record keys, which
+# json_documents almost never draws. The records below share a few
+# conclusions up to values that compare equal but render differently (True,
+# 1 and 1.0; False, 0, 0.0 and -0.0), which must not share a memo entry, and
+# their "a" lists hold ints of 19 digits or more, which must not take the
+# plain-int path.
+RECORD_INTS = [0, 1, -1, 10**18 - 1, -(10**18 - 1), 10**18, 2**63 - 1, 2**63,
+               -(2**63), 10**19 - 1, 2**70]
+EQUAL_GROUPS = ([True, 1, 1.0], [False, 0, 0.0, -0.0])
+RECORD_ODDS = [True, 1, 1.0, False, 0, 0.0, -0.0, None, "", "1", [], [0], [True], [1.0]]
+plain_a = st.lists(st.integers(-9, 9), min_size=1, max_size=4)
+record_a = st.one_of(
+    plain_a,
+    st.lists(st.one_of(st.integers(), st.sampled_from(RECORD_INTS)), min_size=1, max_size=5),
+    st.lists(st.one_of(st.sampled_from(RECORD_INTS), st.sampled_from(RECORD_ODDS)), max_size=3),
+    st.lists(st.integers(-3, 3), max_size=3).map(tuple),
+    st.sampled_from(RECORD_ODDS),
+)
+record_conclusion = st.one_of(
+    st.sampled_from(RECORD_ODDS),
+    st.lists(st.sampled_from(RECORD_ODDS + [2, 2**63, -(2**70), "x"]), max_size=3),
+)
+
+
+def equal_twins(value):
+    """Values equal to value, with lists taken item by item."""
+    if type(value) is list:
+        return st.tuples(*map(equal_twins, value)).map(list)
+    if type(value) in (bool, int, float):
+        for group in EQUAL_GROUPS:
+            if value in group:
+                return st.sampled_from(group)
+    return st.just(value)
+
+
+@st.composite
+def scan_documents(draw):
+    """A list that starts with a scan record, bare or as a report's "records"."""
+    conclusions = draw(st.lists(st.tuples(record_conclusion, record_conclusion, record_conclusion),
+                                min_size=1, max_size=3))
+
+    def record(a):
+        conclusion = draw(st.sampled_from(conclusions))
+        e, s, v = (draw(equal_twins(value)) for value in conclusion)
+        return {"a": a, "everything_vanishes": e, "single_degree": s, "vanished": v}
+
+    records = [record(draw(plain_a))]
+    for kind in draw(st.lists(st.sampled_from(["record"] * 4 + ["extra", "missing", "other"]),
+                              max_size=12)):
+        if kind == "other":
+            records.append(draw(json_scalars))
+            continue
+        records.append(record(draw(record_a)))
+        if kind == "extra":
+            records[-1][draw(st.sampled_from(["", "b", "a0", "zz"]))] = draw(record_conclusion)
+        elif kind == "missing":
+            del records[-1][draw(st.sampled_from(sorted(records[-1])))]
+    return {"schema": 1, "records": records} if draw(st.booleans()) else records
+
+
+def _record(a, e, s, v):
+    return {"a": a, "everything_vanishes": e, "single_degree": s, "vanished": v}
+
+
+@PROPERTY
+@given(scan_documents())
+@example([_record([1], True, None, [1]), _record([2], 1, None, [True]),
+          _record([3], 1.0, None, [1.0]), _record([4], False, -0.0, [0])])
+@example([_record([0], False, 0.0, []), _record([10**18 - 1, 2**63 - 1], False, -0.0, [])])
+@example({"records": [_record([-(10**18)], False, None, [0]), _record([2**63], False, None, [0]),
+                      _record([-(2**63), 10**19 - 1], False, None, [0])]})
+@example([_record([1], False, None, [0]), {"a": [1], "vanished": [0]},
+          dict(_record([2], False, None, [0]), extra=1), _record((3,), False, None, [0]),
+          _record([], False, None, [0]), 7])
+def test_report_json_of_scan_shaped_records_equals_json_dumps(doc):
+    expected = json.dumps(_stringify_big_ints(doc), sort_keys=True, indent=2)
+    assert report_json(doc) == expected
