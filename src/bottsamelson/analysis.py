@@ -10,9 +10,10 @@ A problem document is a small JSON object:
     }
 
 Reports are plain dictionaries with "schema": 1, rendered either as JSON
-(sorted keys, deterministic output, integers beyond 64 bits as decimal
-strings) or as text. All indices and weights in documents and reports are
-1-based and in the simple-root basis conventions of the library.
+(sorted keys, deterministic output, integers beyond +-(2**63 - 1) as
+decimal strings) or as text. All indices and weights in documents and
+reports are 1-based and in the simple-root basis conventions of the
+library.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .bott import BottData, Word, _sign_masks, build_bott_data
-from .cech import CECH_MAX_DIM, _cech_pattern_dims, cech_table
-from .errors import BottSamelsonError, BoxTooLarge, TooLarge
+from .cech import _cech_pattern_dims, cech_table
+from .errors import BottSamelsonError, BoxTooLarge
 from .rootsystem import (
     GeneralizedCartanMatrix,
     _reflect_each,
@@ -66,9 +67,6 @@ POSITIVITY_NOTE = (
 
 class ProblemError(BottSamelsonError):
     """Raised when a problem document cannot be parsed or validated."""
-
-    def __init__(self, message: str):
-        ValueError.__init__(self, message)
 
 
 @dataclass(frozen=True)
@@ -185,9 +183,14 @@ def parse_problem(doc: dict) -> ProblemSpec:
 
 
 def load_problem(text: str) -> ProblemSpec:
+    """Parse and validate a problem document given as JSON text.
+
+    Malformed JSON, nesting too deep for the parser and integer literals
+    past the interpreter's int/str digit limit all raise ProblemError.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ProblemError(f"invalid JSON: {exc}") from exc
     return parse_problem(doc)
 
@@ -372,12 +375,10 @@ def run_oracle(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
     weight under "first_mismatch"; the caller maps that to exit code 4.
     """
     bott = spec.bott()
-    if bott.length > CECH_MAX_DIM:
-        raise TooLarge(bott.length, CECH_MAX_DIM)
     divisor = spec.divisor()
+    cech = cech_table(bott, divisor, cap=cap)  # first: it refuses towers past CECH_MAX_DIM
     closed = cohomology_table(bott, divisor, cap=cap)
     simplicial = demazure_table(bott, divisor, cap=cap)
-    cech = cech_table(bott, divisor, cap=cap)
     agree = closed.dims == simplicial.dims == cech.dims
 
     doc = {
@@ -412,9 +413,9 @@ def report_json(doc: dict) -> str:
     """Canonical JSON rendering: sorted keys, big integers as strings.
 
     The same text as json.dumps(doc, sort_keys=True, indent=2) once every
-    int beyond the signed 64-bit range is replaced by its decimal string,
-    written directly: with an indent, json.dumps takes its pure-Python
-    encoder.
+    int beyond +-(2**63 - 1) (so -2**63 too) is replaced by its decimal
+    string, written directly: with an indent, json.dumps takes its
+    pure-Python encoder.
 
     A list whose first item is a dict with exactly the scan-record keys
     goes to _render_records, which renders the text after "a" once per

@@ -179,13 +179,7 @@ def alpha_reflect(bott: BottData, i: int, j: int, eps: Sequence[int]) -> int:
     largest k first, to the root beta_j, then pairs with beta_i^vee. Only
     the entries of eps strictly between i and j are read.
     """
-    _check_position(bott, i)
-    _check_position(bott, j)
-    if i >= j:
-        raise NotStrictlyIncreasing(i, j)
-    e = _check_signs(bott, eps)
-    minus = tuple(k for k in range(i + 1, j) if e[k - 1] == -1)
-    return _alpha(bott, i, j, minus)
+    return _alpha(bott, i, j, _interior_minus(bott, i, j, eps))
 
 
 def alpha_path(bott: BottData, i: int, j: int, eps: Sequence[int]) -> int:
@@ -195,13 +189,23 @@ def alpha_path(bott: BottData, i: int, j: int, eps: Sequence[int]) -> int:
     i = i_0 < i_1 < ... < i_k = j whose interior vertices all carry eps = -1.
     Independent route to the same number as alpha_reflect.
     """
+    return _chain_sum(bott.beta, i, j, _interior_minus(bott, i, j, eps))
+
+
+def _interior_minus(bott: BottData, i: int, j: int, eps: Sequence[int]) -> Tuple[int, ...]:
+    """The increasing positions k in (i, j) with eps_k = -1, after checking
+    that i < j are positions and eps is a sign vector of the tower."""
     _check_position(bott, i)
     _check_position(bott, j)
     if i >= j:
         raise NotStrictlyIncreasing(i, j)
     e = _check_signs(bott, eps)
-    beta = bott.beta
-    minus = [k for k in range(i + 1, j) if e[k - 1] == -1]
+    return tuple(k for k in range(i + 1, j) if e[k - 1] == -1)
+
+
+def _chain_sum(beta, i: int, j: int, minus: Sequence[int]) -> int:
+    """Sum of (-1)^(k+1) beta_{i_0 i_1} ... beta_{i_{k-1} i_k} over the chains
+    i = i_0 < i_1 < ... < i_k = j with every interior vertex in minus."""
     total = 0
     for size in range(len(minus) + 1):
         for interior in combinations(minus, size):
@@ -261,25 +265,15 @@ def x_vector_path(bott: BottData, a: Sequence[int], eps: Sequence[int]) -> Weigh
     e = _check_signs(bott, eps)
     N = bott.length
     beta = bott.beta
-    x = []
-    for i in range(1, N + 1):
-        if e[i - 1] == 1:
-            x.append(-coeffs[i - 1])
-            continue
-        total = 0
-        for h in range(i + 1, N + 1):
-            if e[h - 1] != 1:
-                continue
-            minus = [k for k in range(i + 1, h) if e[k - 1] == -1]
-            for size in range(len(minus) + 1):
-                for interior in combinations(minus, size):
-                    chain = (i,) + interior + (h,)
-                    prod = coeffs[h - 1]
-                    for u, v in zip(chain, chain[1:]):
-                        prod *= beta[u - 1][v - 1]
-                    total += prod if size % 2 == 0 else -prod
-        x.append(total)
-    return tuple(x)
+    minus = [k for k in range(1, N + 1) if e[k - 1] == -1]
+    return tuple(
+        -coeffs[i - 1] if e[i - 1] == 1 else sum(
+            coeffs[h - 1] * _chain_sum(beta, i, h, [k for k in minus if i < k < h])
+            for h in range(i + 1, N + 1)
+            if e[h - 1] == 1
+        )
+        for i in range(1, N + 1)
+    )
 
 
 def phi(bott: BottData, divisor: "ToricDivisor", m: Sequence[int], ray: Ray) -> int:
@@ -298,6 +292,13 @@ def phi(bott: BottData, divisor: "ToricDivisor", m: Sequence[int], ray: Ray) -> 
         raise IndexOutOfRange("ray sign", s, "+1 or -1")
     coeff = divisor.a if s == 1 else divisor.b
     return sum(map(mul, w, bott.ray(ray))) + coeff[i - 1]
+
+
+def _weight_masks(bott: BottData, divisor: "ToricDivisor", m: Sequence[int]) -> Tuple[int, int]:
+    """_sign_masks of a weight, after checking the divisor and the weight
+    against the tower: the one entry of every per-weight public route."""
+    _check_divisor(bott, divisor)
+    return _sign_masks(bott, divisor, _check_coeffs(bott, m, "weight"))
 
 
 def _sign_masks(bott: BottData, divisor: "ToricDivisor", w: Weight) -> Tuple[int, int]:

@@ -28,19 +28,20 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .bott import (
-    BottData,
-    SignVector,
-    _check_coeffs,
-    _check_divisor,
-    _sign_masks,
-    all_sign_vectors,
-)
+from .bott import BottData, SignVector, _weight_masks, all_sign_vectors
 from .errors import IndexOutOfRange, TooLarge
 from .simplicial import CohomologyDims, SimplicialComplex, reduced_cohomology
 from .toric import CohomologyTable, DEFAULT_BOX_CAP, ToricDivisor, _checked_box, _pattern_table
 
 CECH_MAX_DIM = 4
+
+
+def _cech_dim(bott: BottData) -> int:
+    """The tower's dimension N; a tower longer than CECH_MAX_DIM raises TooLarge."""
+    n = bott.length
+    if n > CECH_MAX_DIM:
+        raise TooLarge(n, CECH_MAX_DIM)
+    return n
 
 
 def _cone_mask(cone: SignVector) -> int:
@@ -134,12 +135,8 @@ def cech_weight(
     vector of length N exactly once (the dimensions must not depend on the
     order; passing a permutation bypasses the pattern cache).
     """
-    n = bott.length
-    if n > CECH_MAX_DIM:
-        raise TooLarge(n, CECH_MAX_DIM)
-    _check_divisor(bott, divisor)
-    w = _check_coeffs(bott, m, "weight")
-    bad_plus, bad_minus = _sign_masks(bott, divisor, w)
+    n = _cech_dim(bott)
+    bad_plus, bad_minus = _weight_masks(bott, divisor, m)
     if cover is None:
         return dict(_cech_pattern_dims(n, bad_plus, bad_minus))
     cover = tuple(map(tuple, cover))
@@ -150,12 +147,8 @@ def cech_weight(
 
 def cech_complex(bott: BottData, divisor: ToricDivisor, m: Sequence[int]) -> CechComplex:
     """The activity structure for one weight, in the default chart order."""
-    n = bott.length
-    if n > CECH_MAX_DIM:
-        raise TooLarge(n, CECH_MAX_DIM)
-    _check_divisor(bott, divisor)
-    w = _check_coeffs(bott, m, "weight")
-    bad_plus, bad_minus = _sign_masks(bott, divisor, w)
+    n = _cech_dim(bott)
+    bad_plus, bad_minus = _weight_masks(bott, divisor, m)
     return CechComplex(n=n, cover=all_sign_vectors(n), bad_plus=bad_plus, bad_minus=bad_minus)
 
 
@@ -168,8 +161,6 @@ def cech_table(
     times its number of weights, over the weight box plus a one-layer shell
     around it (shell weights must contribute nothing, so a bound violation
     in the box construction would surface here)."""
-    n = bott.length
-    if n > CECH_MAX_DIM:
-        raise TooLarge(n, CECH_MAX_DIM)
+    n = _cech_dim(bott)
     box = _checked_box(bott, divisor, cap).enlarged()  # the box and its shell
     return _pattern_table(bott, divisor, box, partial(_cech_pattern_dims, n))

@@ -23,6 +23,7 @@ import click
 from . import __version__
 from .analysis import (
     DEFAULT_BOX_CAP,
+    ProblemError,
     ProblemSpec,
     load_problem,
     report_json,
@@ -41,7 +42,11 @@ EXIT_MISMATCH = 4
 
 
 def _load_spec(file) -> ProblemSpec:
-    return load_problem(file.read())
+    try:
+        text = file.read()
+    except UnicodeDecodeError as exc:
+        raise ProblemError(f"cannot decode the problem file: {exc}") from exc
+    return load_problem(text)
 
 
 def _fail(message: str, code: int):
@@ -116,11 +121,13 @@ def _render_analyze(doc: dict) -> str:
     return "\n".join(lines)
 
 
+def _box_line(box: dict) -> str:
+    return (f"weight box: lo = {_fmt_vec(box['lo'])}, hi = {_fmt_vec(box['hi'])}"
+            f" ({box['points']} points)")
+
+
 def _render_toric(doc: dict) -> str:
-    box = doc["box"]
-    lines = [f"weight box: lo = {_fmt_vec(box['lo'])}, hi = {_fmt_vec(box['hi'])}"
-             f" ({box['points']} points)"]
-    lines.append("toric cohomology table:")
+    lines = [_box_line(doc["box"]), "toric cohomology table:"]
     lines.extend(_render_table(doc["toric"]))
     for note in doc.get("notes", ()):
         lines.append(f"note: {note}")
@@ -128,9 +135,7 @@ def _render_toric(doc: dict) -> str:
 
 
 def _render_weights(doc: dict) -> str:
-    box = doc["box"]
-    lines = [f"weight box: lo = {_fmt_vec(box['lo'])}, hi = {_fmt_vec(box['hi'])}"
-             f" ({box['points']} points)"]
+    lines = [_box_line(doc["box"])]
     for rec in doc["weights"]:
         if rec["kind"] == "concentrated":
             lines.append(f"  m = {_fmt_vec(rec['weight'])}  degree {rec['degree']}")
@@ -172,8 +177,15 @@ def _render_oracle(doc: dict) -> str:
 
 @click.group()
 @click.version_option(version=__version__, prog_name="bottsamelson")
-def main():
+@click.pass_context
+def main(ctx):
     """Cohomology vanishing on Bott-Samelson varieties and Bott towers."""
+    # Integers of any size are accepted, so lift the interpreter's int/str
+    # digit limit (Python 3.10.7 and later) while a command runs.
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        ctx.call_on_close(lambda: sys.set_int_max_str_digits(limit))
 
 
 _file_argument = click.argument("file", type=click.File("r"))
@@ -192,9 +204,8 @@ _cap_option = click.option(
 @click.option("--no-toric", is_flag=True, help="skip the toric cohomology table")
 def analyze(file, as_json, cap, witnesses, no_toric):
     """Vanishing certificates and degrees for a divisor (b = 0 only)."""
-    spec = _guarded(lambda: _load_spec(file))
     doc = _guarded(lambda: run_analyze(
-        spec, with_toric=not no_toric, collect_witnesses=witnesses, cap=cap))
+        _load_spec(file), with_toric=not no_toric, collect_witnesses=witnesses, cap=cap))
     _emit(doc, as_json, _render_analyze)
 
 
@@ -205,8 +216,7 @@ def analyze(file, as_json, cap, witnesses, no_toric):
 @click.option("--witnesses", is_flag=True, help="list concentrated weights")
 def toric(file, as_json, cap, witnesses):
     """Exact cohomology table on the toric degeneration."""
-    spec = _guarded(lambda: _load_spec(file))
-    doc = _guarded(lambda: run_toric(spec, collect_witnesses=witnesses, cap=cap))
+    doc = _guarded(lambda: run_toric(_load_spec(file), collect_witnesses=witnesses, cap=cap))
     _emit(doc, as_json, _render_toric)
 
 
@@ -216,8 +226,7 @@ def toric(file, as_json, cap, witnesses):
 @_cap_option
 def weights(file, as_json, cap):
     """Classify every weight in the weight box."""
-    spec = _guarded(lambda: _load_spec(file))
-    doc = _guarded(lambda: run_weights(spec, cap=cap))
+    doc = _guarded(lambda: run_weights(_load_spec(file), cap=cap))
     _emit(doc, as_json, _render_weights)
 
 
@@ -227,8 +236,7 @@ def weights(file, as_json, cap):
 @_cap_option
 def scan(file, as_json, cap):
     """Vanishing reports over a grid of divisor coefficients."""
-    spec = _guarded(lambda: _load_spec(file))
-    doc = _guarded(lambda: run_scan(spec, cap=cap))
+    doc = _guarded(lambda: run_scan(_load_spec(file), cap=cap))
     _emit(doc, as_json, _render_scan)
 
 
@@ -238,8 +246,7 @@ def scan(file, as_json, cap):
 @_cap_option
 def oracle(file, as_json, cap):
     """Cross-check closed form, simplicial and Cech computations."""
-    spec = _guarded(lambda: _load_spec(file))
-    doc = _guarded(lambda: run_oracle(spec, cap=cap))
+    doc = _guarded(lambda: run_oracle(_load_spec(file), cap=cap))
     _emit(doc, as_json, _render_oracle)
     if not doc["agree"]:
         sys.exit(EXIT_MISMATCH)

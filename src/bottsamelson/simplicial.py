@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Dict, FrozenSet, Hashable, Iterable, Sequence, Tuple
 
-from .bott import BottData, Ray, _check_coeffs, _check_divisor, _sign_masks
+from .bott import BottData, Ray, _weight_masks
 from .errors import InconsistentData
 from .linalg import sparse_rank
 
@@ -155,9 +155,7 @@ def sigma_m(bott: BottData, divisor, m: Sequence[int]) -> SimplicialComplex:
     both rays of any single index (exactly the ray sets spanning cones of
     the fan).
     """
-    _check_divisor(bott, divisor)
-    w = _check_coeffs(bott, m, "weight")
-    return _complex_on_rays(_negative_rays(*_sign_masks(bott, divisor, w)))
+    return _complex_on_rays(_negative_rays(*_weight_masks(bott, divisor, m)))
 
 
 # Each index contributes one of 4 negative-ray sets, so 4^4 entries hold every
@@ -183,6 +181,4 @@ def demazure_weight(bott: BottData, divisor, m: Sequence[int]) -> CohomologyDims
     (i-1)-cohomology of Sigma_m. Results depend on m only through the set
     of negative rays, which is cached.
     """
-    _check_divisor(bott, divisor)
-    w = _check_coeffs(bott, m, "weight")
-    return dict(_demazure_pattern(*_sign_masks(bott, divisor, w)))
+    return dict(_demazure_pattern(*_weight_masks(bott, divisor, m)))

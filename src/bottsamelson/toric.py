@@ -25,10 +25,10 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 from .bott import (
     BottData,
     Weight,
-    _check_coeffs,
     _check_divisor,
     _sign_masks,
     _sign_pattern_counts,
+    _weight_masks,
 )
 from .errors import BoxTooLarge, InconsistentData, IndexOutOfRange
 from .simplicial import CohomologyDims, _demazure_pattern
@@ -87,8 +87,7 @@ class WeightClassification:
 
 def classify_weight(bott: BottData, divisor: ToricDivisor, m: Sequence[int]) -> WeightClassification:
     """Closed-form classification of one weight from its 2N support signs."""
-    _check_divisor(bott, divisor)
-    degree = _closed_degree(*_sign_masks(bott, divisor, _check_coeffs(bott, m, "weight")))
+    degree = _closed_degree(*_weight_masks(bott, divisor, m))
     if degree is None:
         return WeightClassification(kind=ALL_ZERO)
     return WeightClassification(kind=CONCENTRATED, degree=degree)

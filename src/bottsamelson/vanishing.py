@@ -97,12 +97,7 @@ def condition_profile(bott: BottData, a: Sequence[int]) -> ConditionProfile:
     grows at most polynomially in N (degree the rank); in affine and
     indefinite type it can grow exponentially.
     """
-    return _condition_profile(bott, _check_coeffs(bott, a))
-
-
-def _condition_profile(bott: BottData, a: Tuple[int, ...]) -> ConditionProfile:
-    """condition_profile for a checked a-vector."""
-    return _vanishing_report(bott, a).profile
+    return _vanishing_report(bott, _check_coeffs(bott, a)).profile
 
 
 def _sweep_bounds(bott: BottData, ranges: Sequence[Range]) -> List[List[Tuple[int, int]]]:
@@ -235,10 +230,7 @@ class VanishingCertificate:
         return sum(1 for s in self.eta if s == 1)
 
     def vanished_degrees(self) -> Tuple[int, ...]:
-        n = len(self.eta)
-        low = range(0, self.minus_count)
-        high = range(n - self.plus_count + 1, n + 1)
-        return tuple(list(low) + list(high))
+        return _conclusions(len(self.eta), self.minus_count, self.plus_count, False).vanished
 
     def eta_string(self) -> str:
         return "".join({1: "+", 0: "0", -1: "-"}[s] for s in self.eta)
@@ -365,7 +357,7 @@ def check_toric_vanishing(
     certificate claims.
     """
     a = _upper_coeffs(bott, divisor)
-    profile = _condition_profile(bott, a)
+    profile = _vanishing_report(bott, a).profile
     e = tuple(int(s) for s in eta)
     if not is_admissible(profile, e):
         raise InconsistentData(f"certificate {e} is not admissible for this divisor")

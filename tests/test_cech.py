@@ -18,6 +18,8 @@ from bottsamelson import (
     cech_weight,
     classify_weight,
     cohomology_table,
+    parse_problem,
+    run_oracle,
     sparse_rank,
     weight_box,
 )
@@ -198,6 +200,8 @@ def test_dimension_limit_is_refused():
         cech_complex(big, d, (0,) * 5)
     with pytest.raises(TooLarge):
         cech_table(big, d)
+    with pytest.raises(TooLarge):
+        run_oracle(parse_problem({"cartan": [[2]], "word": [1] * 5, "divisor": [0] * 5}))
 
 
 def test_fully_active_weight_has_one_global_section():

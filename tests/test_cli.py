@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,82 @@ def test_big_integers_serialized_as_strings():
     assert result.exit_code == 0
     parsed = json.loads(result.output)
     assert parsed["input"]["divisor"]["a"] == [str(2**70)]
+
+
+def test_oracle_reads_the_divisor_before_the_dimension_gate():
+    # the dimension gate lives in cech_table, which runs after spec.divisor()
+    no_divisor = json.dumps({"cartan": [[2]], "word": [1] * 6})
+    result = run(["oracle", "-"], stdin=no_divisor)
+    assert result.exit_code == 2
+    assert result.stderr == "error: this command needs a 'divisor' entry\n"
+
+
+def _assert_input_error(result):
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.output
+
+
+def test_deeply_nested_document_is_an_input_error():
+    _assert_input_error(run(["analyze", "-"], stdin="[" * 100_000))
+
+
+def test_undecodable_bytes_are_an_input_error(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_bytes(b"\xff" + PROBLEM_DOC.encode())
+    _assert_input_error(run(["analyze", str(path)]))
+    _assert_input_error(run(["analyze", "-"], stdin=b"\xff" + PROBLEM_DOC.encode()))
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's int/str digit limit (None before Python 3.10.7),
+    restored after the test."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    yield limit
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_integer_past_the_digit_limit_is_an_input_error(int_digit_limit):
+    if int_digit_limit is None:
+        pytest.skip("this interpreter has no int/str digit limit")
+    sys.set_int_max_str_digits(4300)
+    doc = '{"cartan": [[2]], "word": [1], "divisor": [%s]}' % ("9" * 5000)
+    with pytest.raises(analysis.ProblemError, match="invalid JSON"):
+        analysis.load_problem(doc)
+    # the CLI lifts the limit, so the same literal as a word letter reaches
+    # the letter check
+    letter = '{"cartan": [[2]], "word": [%s], "divisor": [0]}' % ("9" * 5000)
+    result = run(["analyze", "-"], stdin=letter)
+    _assert_input_error(result)
+    assert result.stderr.startswith("error: word letter at position 1 index 999")
+    assert sys.get_int_max_str_digits() == 4300
+
+
+def test_capacity_error_with_a_2500_digit_box(int_digit_limit):
+    a = str(10**2500 - 1)
+    doc = '{"cartan": {"type": "A", "rank": 2}, "word": [1, 2], "divisor": [%s, %s]}' % (a, a)
+    result = run(["toric", "-"], stdin=doc)
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error: weight box has 1000")
+    assert "Traceback" not in result.output
+
+
+def test_analyze_prints_conditions_past_4300_digits(int_digit_limit):
+    a = 10**4299 - 1
+    doc = json.dumps({
+        "cartan": {"matrix": [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]},
+        "word": [1, 2, 3, 1, 2, 3],
+        "divisor": [a] * 6,
+    })
+    text = run(["analyze", "--no-toric", "-"], stdin=doc)
+    assert text.exit_code == 0
+    as_json = run(["analyze", "--json", "--no-toric", "-"], stdin=doc)
+    assert as_json.exit_code == 0
+    c_min = [c["c_min"] for c in json.loads(as_json.output)["conditions"]]
+    assert max(len(v.lstrip("-")) for v in c_min) > 4300
+    assert c_min[-1] == str(a)
 
 
 def test_round_trip_echo_reparses():
