@@ -30,9 +30,8 @@ from .cech import _cech_pattern_dims, cech_table
 from .errors import BottSamelsonError, BoxTooLarge
 from .rootsystem import (
     GeneralizedCartanMatrix,
-    _reflect_each,
+    _descend,
     cartan_of_type,
-    simple_root,
     validate_gcm,
 )
 from .simplicial import _demazure_pattern
@@ -136,6 +135,8 @@ def parse_problem(doc: dict) -> ProblemSpec:
         rank = cartan.get("rank")
         if not isinstance(family, str) or isinstance(rank, bool) or not isinstance(rank, int):
             raise ProblemError("'cartan' with a type needs string 'type' and integer 'rank'")
+        if rank > 0 and rank * rank > DEFAULT_BOX_CAP:
+            raise BoxTooLarge(rank * rank, DEFAULT_BOX_CAP, "Cartan matrix")
         gcm = cartan_of_type(family, rank)
     else:
         matrix = cartan.get("matrix") if isinstance(cartan, dict) else cartan
@@ -199,19 +200,29 @@ def _alpha_summary(bott: BottData) -> dict:
     """Fan data plus the exact range of alpha_ij^eps over interior signs.
 
     alpha_ij^eps pairs beta_i^vee with a product of the s_{beta_k}, k in
-    (i, j) with eps_k = -, applied to beta_j. For each j one sweep over
-    k = j-1 down to 1 keeps the deduplicated set of such images: the range
-    for (k, j) is read from the set, then s_{beta_k} of every member joins it.
+    (i, j) with eps_k = -, applied to beta_j. One sweep over k = N-1 down
+    to 1 keeps the deduplicated set of such images for every j > k at once,
+    as columns of coroot pairings (rootsystem._descend) with one more
+    column, key 0, that tags each image with its j: beta_{k+1} joins the
+    set, the range for (k, j) is the min and max of the column of letter
+    l_k over the rows tagged j, then s_{beta_k} of every member joins it.
     """
-    letters, n = bott.word.letters, bott.length
+    gcm, letters, n = bott.gcm, bott.word.letters, bott.length
     ranges = {}
-    for j in range(2, n + 1):
-        reach = [simple_root(bott.gcm, letters[j - 1])]
-        for k in range(j - 1, 0, -1):
-            values, reflected = _reflect_each(bott.gcm, letters[k - 1], reach)
-            ranges[k, j] = min(values), max(values)
-            if k > 1:
-                reach = list(set(reach).union(reflected))
+    columns = dict.fromkeys((0, *letters), ())
+    for k in range(n - 1, 0, -1):
+        root = letters[k] - 1  # beta_{k+1} joins as a row tagged k + 1
+        columns = {
+            key: col + (gcm.entries[key - 1][root] if key else k + 1,)
+            for key, col in columns.items()
+        }
+        # sorted (j, value) pairs: dict keeps the last value per j, the max
+        seen = sorted(set(zip(columns[0], columns[letters[k - 1]])))
+        high, low = dict(seen), dict(reversed(seen))
+        for j in high:
+            ranges[k, j] = low[j], high[j]
+        if k > 1:
+            columns = next(_descend(gcm, letters[k - 1], columns, (0,)))
     pairs = [
         {"i": i, "j": j, "min": ranges[i, j][0], "max": ranges[i, j][1]}
         for i in range(1, n + 1)

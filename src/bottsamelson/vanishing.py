@@ -5,9 +5,14 @@ the finite value set {C_i^eps} over all sign suffixes. The value set is
 read off one downward sweep over the tower: C_i^eps = a_i + <beta_i^vee,
 lambda> where lambda runs over the root-lattice vectors reachable from 0
 by applying, for k = N down to i + 1, either lambda -> a_k beta_k + lambda
-(eps_k = +) or lambda -> s_{beta_k}(lambda) (eps_k = -). Suffixes that
-reach the same lambda are merged, so the set at index i never outgrows
-the 2^(N-i) suffixes and is usually far smaller. The same sweep serves a
+(eps_k = +) or lambda -> s_{beta_k}(lambda) (eps_k = -). Both steps and
+the value read depend on lambda only through its pairings with the simple
+coroots, so the sweep stores each lambda as its pairing vector, one
+column per letter of the word (rootsystem._descend), and suffixes that
+reach the same pairing vector are merged. The set at index i never
+outgrows the 2^(N-i) suffixes and is usually far smaller; when the Cartan
+matrix is singular, vectors that differ by its kernel (a multiple of the
+null root delta in affine type) are one state. The same sweep serves a
 whole grid of a-vectors: C_i depends on a only through a_i and the suffix
 (a_{i+1}, ..., a_N), so the sweep visits each distinct suffix once. Two
 one-sided conditions per index follow:
@@ -42,12 +47,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
-from operator import mul
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bott import BottData, _check_coeffs
 from .errors import InconsistentData, IndexOutOfRange, NotInPicardBasis, VanishingContradiction
-from .rootsystem import _reflect_each
+from .rootsystem import _descend
 from .toric import CohomologyTable, DEFAULT_BOX_CAP, ToricDivisor, cohomology_table
 
 Eta = Tuple[int, ...]
@@ -88,14 +92,18 @@ class ConditionProfile:
 def condition_profile(bott: BottData, a: Sequence[int]) -> ConditionProfile:
     """Exact min and max of C_i^eps over all sign suffixes, with the flags.
 
-    One sweep from index N down to 1 carries the set of reachable vectors
-    lambda (see the module docstring), deduplicated, so the cost grows with
-    the number of distinct reachable vectors rather than with the 2^(N-i)
+    One sweep from index N down to 1 carries the set of reachable pairing
+    vectors (see the module docstring), deduplicated, so the cost grows
+    with the number of distinct states rather than with the 2^(N-i)
     suffixes; the flags are exact, not sampled. The set at index i never
-    exceeds 2^(N-i). In finite type each lambda is a sum of at most N - i
-    roots scaled by the a_k, so its coordinates are bounded and the set
-    grows at most polynomially in N (degree the rank); in affine and
-    indefinite type it can grow exponentially.
+    exceeds 2^(N-i). Each lambda is a sum of at most N - i real roots
+    scaled by the a_k. In finite type there are finitely many roots, and in
+    affine type a real root pairs like a root of the underlying finite
+    system, because delta pairs to zero with every coroot. So the pairings
+    stay within O(N max|a_k|), and the set grows at most polynomially in
+    N: with degree the rank in finite type, and at most the rank minus one
+    in affine type, where the pairing vectors span a lattice of that rank.
+    In indefinite type it can grow exponentially.
     """
     return _vanishing_report(bott, _check_coeffs(bott, a)).profile
 
@@ -108,26 +116,27 @@ def _sweep_bounds(bott: BottData, ranges: Sequence[Range]) -> List[List[Tuple[in
     grid, suffixes numbered in lexicographic order; then C_i^eps runs over
     a_i plus that interval. A depth-first walk over the suffixes, with an
     explicit stack so the depth N is not bounded by Python's recursion
-    limit, keeps one deduplicated reach set per suffix on the current path.
-    The bounds of a suffix one index lower are read off its parent's set:
-    pairing with beta_{i-1}^vee is linear, so min and max over
-    {lambda + a_i beta_i} and {s_{beta_i}(lambda)} need no new set. So
-    sets are built for index 2 and up only, and each table holds at most
-    V / (w_1 ... w_i) entries for a grid of volume V and range widths w.
+    limit, keeps one deduplicated reach set per suffix on the current path,
+    as columns of coroot pairings, so <beta_i^vee, lambda> is the column
+    of letter l_i. The bounds of a suffix one index lower are read off its
+    parent's set: <beta_{i-1}^vee, lambda + a_i beta_i> adds a_i a_kl to
+    column k = l_{i-1}, l = l_i, and <beta_{i-1}^vee, s_{beta_i}(lambda)>
+    is c_k - a_kl c_l, so min and max need no new set. So sets are built
+    for index 2 and up only, and each table holds at most V / (w_1 ... w_i)
+    entries for a grid of volume V and range widths w.
     """
     gcm, letters, n = bott.gcm, bott.word.letters, bott.length
     counts = _suffix_counts(ranges)
     tables: List[List[Tuple[int, int]]] = [[(0, 0)] * count for count in counts]
     stack: list = []
-    p, k, reach = n - 1, 0, [(0,) * gcm.n]  # 0-based position of index i = p + 1
+    # 0-based position of index i = p + 1; one column per letter of the word
+    p, k, columns = n - 1, 0, dict.fromkeys(letters, (0,))
     while True:
         if p > 0:
-            letter = letters[p]
-            values, reflected = _reflect_each(gcm, letter, reach)
-            row = gcm.entries[letters[p - 1] - 1]
-            coupling = row[letter - 1]
-            kept = [sum(map(mul, row, v)) for v in reach]
-            turned = [x - coupling * y for x, y in zip(kept, values)]
+            letter, prev = letters[p], letters[p - 1]
+            coupling = gcm.entries[prev - 1][letter - 1]
+            kept = columns[prev]
+            turned = [x - coupling * y for x, y in zip(kept, columns[letter])]
             k_lo, k_hi, t_lo, t_hi = min(kept), max(kept), min(turned), max(turned)
             lo, hi = ranges[p]
             table, step = tables[p - 1], counts[p]
@@ -135,23 +144,20 @@ def _sweep_bounds(bott: BottData, ranges: Sequence[Range]) -> List[List[Tuple[in
                 shift = coupling * a_p
                 table[(a_p - lo) * step + k] = (min(k_lo + shift, t_lo), max(k_hi + shift, t_hi))
             if p > 1:
-                stack.append([p, k, reach, reflected, lo])
+                # eps = +: lambda + a_p beta_p; eps = -: s_{beta_p}(lambda)
+                stack.append([p, k, _descend(gcm, letter, columns, range(lo, hi + 1)), lo])
         if not stack:
             return tables
         # next child of the deepest open suffix; a finished suffix leaves the
         # stack before its last child is built, so width-1 ranges hold one set
         frame = stack[-1]
-        q, k, parent, reflected, a_q = frame
+        q, k, children, a_q = frame
         lo, hi = ranges[q]
         if a_q == hi:
             stack.pop()
         else:
-            frame[4] = a_q + 1
-        # eps = +: lambda + a_q beta_q; eps = -: s_{beta_q}(lambda)
-        l = letters[q] - 1
-        below = {lam[:l] + (lam[l] + a_q,) + lam[l + 1:] for lam in parent}
-        below.update(reflected)
-        p, k, reach = q - 1, (a_q - lo) * counts[q] + k, list(below)
+            frame[3] = a_q + 1
+        p, k, columns = q - 1, (a_q - lo) * counts[q] + k, next(children)
 
 
 def _suffix_counts(ranges: Sequence[Range]) -> List[int]:
@@ -220,6 +226,11 @@ class VanishingCertificate:
     """An admissible sign assignment eta in {+1, 0, -1}^N."""
 
     eta: Eta
+
+    def __post_init__(self):
+        for pos, s in enumerate(self.eta, start=1):
+            if s not in (-1, 0, 1):
+                raise IndexOutOfRange(f"sign at position {pos}", s, "-1, 0 or +1")
 
     @property
     def minus_count(self) -> int:

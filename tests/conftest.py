@@ -22,6 +22,15 @@ from bottsamelson import (
 )
 
 
+# Singular (affine) Cartan matrices: the null root pairs to zero with every
+# coroot, so the sweeps merge reachable vectors that differ by a multiple of it.
+SINGULAR_GCMS = {
+    "A1^(1)": GeneralizedCartanMatrix(n=2, entries=((2, -2), (-2, 2))),
+    "A2^(1)": GeneralizedCartanMatrix(n=3, entries=((2, -1, -1), (-1, 2, -1), (-1, -1, 2))),
+    "A2^(2)": GeneralizedCartanMatrix(n=2, entries=((2, -1), (-4, 2))),
+}
+
+
 def random_gcm(rng: random.Random, n: int, low: int = -3, zero_chance: float = 0.4
                ) -> GeneralizedCartanMatrix:
     """Random generalized Cartan matrix: 2 on the diagonal, off-diagonal

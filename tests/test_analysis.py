@@ -80,6 +80,13 @@ def test_parse_rejects_malformed_documents():
             parse_problem(doc)
 
 
+@pytest.mark.parametrize("rank", [10**5, 10**18])
+def test_typed_cartan_entry_past_the_cap_is_refused_before_it_is_built(rank):
+    doc = {"cartan": {"type": "A", "rank": rank}, "word": [1], "divisor": [0]}
+    with pytest.raises(BoxTooLarge, match=f"Cartan matrix has {rank * rank} lattice points"):
+        parse_problem(doc)
+
+
 def test_load_problem_rejects_bad_json():
     with pytest.raises(ProblemError):
         load_problem("{not json")

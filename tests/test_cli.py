@@ -125,6 +125,16 @@ def test_scan_cap_error_names_the_scan_grid():
     )
 
 
+@pytest.mark.parametrize("rank", [10**5, 10**18])
+def test_typed_cartan_entry_past_the_cap_is_a_capacity_error(rank):
+    doc = json.dumps({"cartan": {"type": "A", "rank": rank}, "word": [1], "divisor": [0]})
+    result = run(["analyze", "--no-toric", "-"], stdin=doc)
+    assert result.exit_code == 3
+    assert result.stderr == (
+        f"error: Cartan matrix has {rank * rank} lattice points, exceeding the cap of 2000000\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["analyze", "toric", "weights", "scan", "oracle"])
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_cap_below_one_is_a_usage_error(command, cap):

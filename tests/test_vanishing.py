@@ -1,6 +1,7 @@
 import random
 import time
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -15,6 +16,7 @@ from bottsamelson import (
     admissible_etas,
     all_sign_vectors,
     alpha_path,
+    alpha_reflect,
     best_certificates,
     big_c,
     build_bott_data,
@@ -27,7 +29,9 @@ from bottsamelson import (
     validate_gcm,
     vanishing_report,
 )
-from conftest import random_coeffs, random_instance, random_word
+from bottsamelson.analysis import _alpha_summary
+from bottsamelson.vanishing import _sweep_bounds, _vanishing_report
+from conftest import SINGULAR_GCMS, random_coeffs, random_instance, random_word
 
 SL3 = build_bott_data(cartan_of_type("A", 2), Word((1, 2)))
 
@@ -93,6 +97,67 @@ def test_profile_at_length_20_stays_fast_and_exact(gcm):
         assert (profile.c_min[i - 1], profile.c_max[i - 1]) == (min(values), max(values))
 
 
+@pytest.mark.parametrize("name", sorted(SINGULAR_GCMS))
+def test_profile_on_singular_matrices_matches_enumeration(name):
+    gcm = SINGULAR_GCMS[name]
+    rng = random.Random(31)
+    for n in (4, 7, 10, 10):
+        bott = build_bott_data(gcm, random_word(rng, gcm.n, n))
+        a = random_coeffs(rng, n, 3)
+        profile = condition_profile(bott, a)
+        for i in range(1, n + 1):
+            values = [big_c(bott, a, i, (1,) * i + s) for s in all_sign_vectors(n - i)]
+            assert (profile.c_min[i - 1], profile.c_max[i - 1]) == (min(values), max(values))
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_GCMS))
+def test_alpha_summary_on_singular_matrices_matches_alpha_reflect(name):
+    gcm = SINGULAR_GCMS[name]
+    rng = random.Random(32)
+    for n in (4, 7, 10):
+        bott = build_bott_data(gcm, random_word(rng, gcm.n, n))
+        pairs = _alpha_summary(bott)["pairs"]
+        assert len(pairs) == n * (n - 1) // 2
+        for pair in pairs:
+            i, j = pair["i"], pair["j"]
+            values = [
+                alpha_reflect(bott, i, j, (1,) * i + s + (1,) * (n - j + 1))
+                for s in all_sign_vectors(j - i - 1)
+            ]
+            assert (pair["min"], pair["max"]) == (min(values), max(values))
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_GCMS))
+def test_scan_tables_on_singular_matrices_match_single_reports(name):
+    gcm = SINGULAR_GCMS[name]
+    rng = random.Random(33)
+    for n, width in ((5, 3), (8, 2)):
+        bott = build_bott_data(gcm, random_word(rng, gcm.n, n))
+        ranges = tuple((lo, lo + rng.randint(0, width - 1)) for lo in random_coeffs(rng, n, 3))
+        tables = _sweep_bounds(bott, ranges)
+        for a in product(*(range(lo, hi + 1) for lo, hi in ranges)):
+            profile = _vanishing_report(bott, a).profile
+            k = 0  # lexicographic number of the suffix (a_{i+1}, ..., a_N)
+            for i in range(n, 0, -1):
+                low, high = tables[i - 1][k]
+                assert (profile.c_min[i - 1], profile.c_max[i - 1]) == (a[i - 1] + low, a[i - 1] + high)
+                k += (a[i - 1] - ranges[i - 1][0]) * prod(hi - lo + 1 for lo, hi in ranges[i:])
+
+
+def test_profile_of_a_long_affine_word_stays_fast_and_exact():
+    # 2^59 suffixes at index 1; in root coordinates the reachable vectors
+    # also spread along the null root, which no pairing sees
+    n = 60
+    bott = build_bott_data(SINGULAR_GCMS["A2^(1)"], Word((1, 2, 3) * 20))
+    a = (-2, 1, 3) * 20
+    start = time.perf_counter()
+    profile = condition_profile(bott, a)
+    assert time.perf_counter() - start < 5.0
+    for i in range(n - 7, n + 1):
+        values = [big_c(bott, a, i, (1,) * i + s) for s in all_sign_vectors(n - i)]
+        assert (profile.c_min[i - 1], profile.c_max[i - 1]) == (min(values), max(values))
+
+
 def test_sweep_depth_is_not_bounded_by_the_recursion_limit():
     # N = 1200 is past Python's default recursion limit of 1000
     n = 1200
@@ -120,6 +185,12 @@ def test_certificate_degree_arithmetic():
     assert VanishingCertificate(eta=(0, 0)).vanished_degrees() == ()
     assert VanishingCertificate(eta=(-1, -1)).vanished_degrees() == (0, 1)
     assert VanishingCertificate(eta=(1, 1)).vanished_degrees() == (1, 2)
+
+
+@pytest.mark.parametrize("eta", [(2,), (1, -1, "x")])
+def test_certificate_refuses_entries_that_are_not_signs(eta):
+    with pytest.raises(IndexOutOfRange, match="out of range -1, 0 or \\+1"):
+        VanishingCertificate(eta=eta)
 
 
 def test_best_certificates_take_every_allowed_sign(rank3_tower):
