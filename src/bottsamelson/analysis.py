@@ -40,10 +40,13 @@ from .toric import (
     CONCENTRATED,
     DEFAULT_BOX_CAP,
     ToricDivisor,
+    _box_counts,
     _checked_box,
     _closed_degree,
+    _closed_pattern,
+    _pattern_table,
+    _scan_table,
     cohomology_table,
-    demazure_table,
     weight_box,
 )
 from .vanishing import _check_vanished, _conclusions, _flag_keys, _sweep_bounds, vanishing_report
@@ -135,8 +138,12 @@ def parse_problem(doc: dict) -> ProblemSpec:
         rank = cartan.get("rank")
         if not isinstance(family, str) or isinstance(rank, bool) or not isinstance(rank, int):
             raise ProblemError("'cartan' with a type needs string 'type' and integer 'rank'")
-        if rank > 0 and rank * rank > DEFAULT_BOX_CAP:
-            raise BoxTooLarge(rank * rank, DEFAULT_BOX_CAP, "Cartan matrix")
+        entries = rank * rank
+        if rank > 0 and entries > DEFAULT_BOX_CAP:
+            raise BoxTooLarge(entries, DEFAULT_BOX_CAP, message=(
+                f"Cartan matrix of rank {rank} has {entries} entries, exceeding the "
+                f"fixed limit of {DEFAULT_BOX_CAP} matrix entries (--cap does not change it)"
+            ))
         gcm = cartan_of_type(family, rank)
     else:
         matrix = cartan.get("matrix") if isinstance(cartan, dict) else cartan
@@ -382,15 +389,26 @@ def run_scan(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
 def run_oracle(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
     """Three-way comparison: closed form vs simplicial vs Cech.
 
-    On disagreement the result carries the lexicographically first failing
-    weight under "first_mismatch"; the caller maps that to exit code 4.
+    One sign-pattern sweep of the box gives both the closed-form table
+    (what cohomology_table answers) and the simplicial one; the Cech table
+    sweeps the box and its shell. The per-weight scan of the closed form,
+    which never calls the sweep, is the reference reported as
+    "closed_form", so "agree" requires scan = sweep = simplicial = Cech
+    and a defect in the sweep shows as a disagreement too.
+
+    On disagreement the result carries the lexicographically first weight
+    whose per-weight routes differ, if any, under "first_mismatch"; the
+    caller maps a disagreement to exit code 4.
     """
     bott = spec.bott()
     divisor = spec.divisor()
     cech = cech_table(bott, divisor, cap=cap)  # first: it refuses towers past CECH_MAX_DIM
-    closed = cohomology_table(bott, divisor, cap=cap)
-    simplicial = demazure_table(bott, divisor, cap=cap)
-    agree = closed.dims == simplicial.dims == cech.dims
+    box = _checked_box(bott, divisor, cap)
+    closed = _scan_table(bott, divisor, box, collect_witnesses=False)
+    counts = _box_counts(bott, divisor, box)
+    swept = _pattern_table(bott.length, counts, _closed_pattern)
+    simplicial = _pattern_table(bott.length, counts, _demazure_pattern)
+    agree = closed.dims == swept.dims == simplicial.dims == cech.dims
 
     doc = {
         "schema": SCHEMA_VERSION,
@@ -402,7 +420,6 @@ def run_oracle(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
         "agree": agree,
     }
     if not agree:
-        box = weight_box(bott, divisor)
         for m in box.enlarged().points():
             masks = _sign_masks(bott, divisor, m)
             degree = _closed_degree(*masks)

@@ -31,7 +31,14 @@ from typing import Iterable, Optional, Sequence, Tuple
 from .bott import BottData, SignVector, _weight_masks, all_sign_vectors
 from .errors import IndexOutOfRange, TooLarge
 from .simplicial import CohomologyDims, SimplicialComplex, reduced_cohomology
-from .toric import CohomologyTable, DEFAULT_BOX_CAP, ToricDivisor, _checked_box, _pattern_table
+from .toric import (
+    CohomologyTable,
+    DEFAULT_BOX_CAP,
+    ToricDivisor,
+    _box_counts,
+    _checked_box,
+    _pattern_table,
+)
 
 CECH_MAX_DIM = 4
 
@@ -163,4 +170,4 @@ def cech_table(
     in the box construction would surface here)."""
     n = _cech_dim(bott)
     box = _checked_box(bott, divisor, cap).enlarged()  # the box and its shell
-    return _pattern_table(bott, divisor, box, partial(_cech_pattern_dims, n))
+    return _pattern_table(n, _box_counts(bott, divisor, box), partial(_cech_pattern_dims, n))

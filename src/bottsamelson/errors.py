@@ -66,11 +66,14 @@ class NotStrictlyIncreasing(BottSamelsonError):
 
 
 class BoxTooLarge(BottSamelsonError):
-    def __init__(self, volume: int, cap: int, what: str = "weight box"):
+    """More work than a limit allows; message replaces the default text,
+    which speaks of the lattice points of a box or grid under a cap."""
+
+    def __init__(self, volume: int, cap: int, what: str = "weight box", message: str = ""):
         self.volume = volume
         self.cap = cap
         super().__init__(
-            f"{what} has {volume} lattice points, exceeding the cap of {cap}"
+            message or f"{what} has {volume} lattice points, exceeding the cap of {cap}"
         )
 
 

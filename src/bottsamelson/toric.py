@@ -1,4 +1,4 @@
-"""Line bundle cohomology on the Bott tower, weight by weight.
+"""Line bundle cohomology on the Bott tower, from the weights' sign patterns.
 
 A torus-invariant divisor D = sum a_i Z_i + sum b_i Z_i' (upper and lower
 ray families) has cohomology graded by lattice weights m. The sign pattern
@@ -12,15 +12,20 @@ of the 2N support numbers phi_m(e_i^{+/-}) decides everything:
 weight_box returns a finite box of weights guaranteed to contain every
 weight with nonzero cohomology (and, when b = 0, every corner weight
 x^eps), so summing the classification over the box gives the full
-cohomology table. demazure_table recomputes the same table through the
-simplicial complexes Sigma_m as an internal cross-check.
+cohomology table. cohomology_table does not classify the box weight by
+weight: one downward sweep (bott._sign_pattern_counts) counts the box
+weights per sign pattern, and the table sums each pattern's degree times
+its count. demazure_table reads the same counts through the simplicial
+complexes Sigma_m. The per-weight scan, _scan_table, stays as the
+reference that the oracle checks the sweep against, and it lists the
+witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .bott import (
     BottData,
@@ -209,14 +214,41 @@ def cohomology_table(
     collect_witnesses: bool = False,
     cap: int = DEFAULT_BOX_CAP,
 ) -> CohomologyTable:
-    """Exact table h^0..h^N by classifying every weight in the box.
+    """Exact table h^0..h^N: the closed form summed over the box's sign
+    patterns, each counted once by the downward sweep.
 
-    Witness collection stores (weight, degree) pairs for concentrated
-    weights in lexicographic order, truncating at WITNESS_CAP. The weights
-    are scanned one by one, never through the sign-pattern sweep of the
-    oracle tables, which check this table.
+    The sweep counts the box weights per sign pattern without visiting
+    them one by one, so it yields no weights. With collect_witnesses the
+    table comes from the per-weight scan instead, which stores (weight,
+    degree) pairs for concentrated weights in lexicographic order,
+    truncating at WITNESS_CAP.
     """
     box = _checked_box(bott, divisor, cap)
+    if collect_witnesses:
+        return _scan_table(bott, divisor, box, collect_witnesses=True)
+    return _pattern_table(bott.length, _box_counts(bott, divisor, box), _closed_pattern)
+
+
+def _closed_pattern(bad_plus: int, bad_minus: int) -> Tuple[Tuple[int, int], ...]:
+    """_closed_degree as a rule of _pattern_table: one (degree, 1) pair, or
+    none when all degrees are zero."""
+    degree = _closed_degree(bad_plus, bad_minus)
+    return () if degree is None else ((degree, 1),)
+
+
+def _scan_table(
+    bott: BottData,
+    divisor: ToricDivisor,
+    box: WeightBox,
+    collect_witnesses: bool,
+) -> CohomologyTable:
+    """The closed form weight by weight over the box, in lexicographic order.
+
+    The reference of the sweep: it reads each weight's signs with
+    _sign_masks on the ray vectors that BottData stores, and never calls
+    the sign-pattern sweep, so run_oracle can check the sweep against it.
+    Witnesses are kept as cohomology_table describes.
+    """
     dims = [0] * (bott.length + 1)
     witnesses = [] if collect_witnesses else None
     truncated = False
@@ -238,18 +270,25 @@ def cohomology_table(
     )
 
 
+def _box_counts(
+    bott: BottData, divisor: ToricDivisor, box: WeightBox
+) -> Mapping[Tuple[int, int], int]:
+    """How many weights of the box have each sign pattern: the one call of
+    bott._sign_pattern_counts behind every table it serves."""
+    return _sign_pattern_counts(bott, divisor, box.lo, box.hi)
+
+
 def _pattern_table(
-    bott: BottData,
-    divisor: ToricDivisor,
-    box: WeightBox,
+    n: int,
+    counts: Mapping[Tuple[int, int], int],
     rule: Callable[[int, int], Iterable[Tuple[int, int]]],
 ) -> CohomologyTable:
-    """Table h^0..h^N over the box: rule(bad_plus, bad_minus) gives the
-    (degree, dim) pairs of one sign pattern, counted once per box weight
-    with that pattern. A degree above N raises InconsistentData."""
-    n = bott.length
+    """Table h^0..h^n from a sweep's weight counts per sign pattern:
+    rule(bad_plus, bad_minus) gives the (degree, dim) pairs of one
+    pattern, counted once per weight with that pattern. A degree above n
+    raises InconsistentData."""
     dims = [0] * (n + 1)
-    for (bad_plus, bad_minus), count in _sign_pattern_counts(bott, divisor, box.lo, box.hi).items():
+    for (bad_plus, bad_minus), count in counts.items():
         for degree, h in rule(bad_plus, bad_minus):
             if degree > n:
                 raise InconsistentData(
@@ -268,4 +307,5 @@ def demazure_table(
     """The same table as cohomology_table, but summing the simplicial
     cohomology of Sigma_m over the box, once per sign pattern times the
     number of box weights that have it."""
-    return _pattern_table(bott, divisor, _checked_box(bott, divisor, cap), _demazure_pattern)
+    box = _checked_box(bott, divisor, cap)
+    return _pattern_table(bott.length, _box_counts(bott, divisor, box), _demazure_pattern)

@@ -7,6 +7,8 @@ deterministic run to run.
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from typing import Tuple
 
 import pytest
@@ -76,6 +78,29 @@ def random_instance(
             if box.num_points > box_limit:
                 continue
         return bott, a
+
+
+@contextmanager
+def hard_deadline(seconds: float):
+    """Fail the test if its body is still running after the given wall
+    time, interrupting the call rather than timing it once it returns, so
+    a regression that makes a sweep exponential fails instead of hanging
+    the suite. Uses SIGALRM, so it needs the main thread of a POSIX
+    process; elsewhere the body runs unbounded."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after the {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

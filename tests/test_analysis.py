@@ -83,7 +83,7 @@ def test_parse_rejects_malformed_documents():
 @pytest.mark.parametrize("rank", [10**5, 10**18])
 def test_typed_cartan_entry_past_the_cap_is_refused_before_it_is_built(rank):
     doc = {"cartan": {"type": "A", "rank": rank}, "word": [1], "divisor": [0]}
-    with pytest.raises(BoxTooLarge, match=f"Cartan matrix has {rank * rank} lattice points"):
+    with pytest.raises(BoxTooLarge, match=f"Cartan matrix of rank {rank} has {rank * rank} entries"):
         parse_problem(doc)
 
 

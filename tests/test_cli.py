@@ -131,8 +131,20 @@ def test_typed_cartan_entry_past_the_cap_is_a_capacity_error(rank):
     result = run(["analyze", "--no-toric", "-"], stdin=doc)
     assert result.exit_code == 3
     assert result.stderr == (
-        f"error: Cartan matrix has {rank * rank} lattice points, exceeding the cap of 2000000\n"
+        f"error: Cartan matrix of rank {rank} has {rank * rank} entries, exceeding the fixed "
+        "limit of 2000000 matrix entries (--cap does not change it)\n"
     )
+
+
+def test_typed_cartan_limit_is_fixed_whatever_the_cap():
+    # the limit counts matrix entries, not lattice points, so --cap moves it
+    # neither down nor up
+    small = json.dumps({"cartan": {"type": "A", "rank": 4}, "word": [1], "divisor": [0]})
+    assert run(["analyze", "--no-toric", "--cap", "10", "-"], stdin=small).exit_code == 0
+    big = json.dumps({"cartan": {"type": "A", "rank": 1415}, "word": [1], "divisor": [0]})
+    result = run(["analyze", "--no-toric", "--cap", "10000000", "-"], stdin=big)
+    assert result.exit_code == 3
+    assert "fixed limit of 2000000 matrix entries (--cap does not change it)" in result.stderr
 
 
 @pytest.mark.parametrize("command", ["analyze", "toric", "weights", "scan", "oracle"])

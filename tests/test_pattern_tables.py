@@ -1,9 +1,10 @@
-"""The oracle tables from the sign-pattern sweep against per-weight sums.
+"""The tables from the sign-pattern sweep against per-weight sums.
 
-demazure_table and cech_table sum each sign pattern's cohomology times the
-number of weights that have it, counted by bott._sign_pattern_counts. The
-references below are the per-weight loops they replaced: they classify
-every weight of the box (and of its shell) one at a time.
+cohomology_table, demazure_table and cech_table sum each sign pattern's
+cohomology times the number of weights that have it, counted by
+bott._sign_pattern_counts. The references are per-weight loops: they
+classify every weight of the box (and of its shell) one at a time, as
+toric._scan_table does for the closed form.
 """
 
 import importlib.util
@@ -13,7 +14,10 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+import bottsamelson.bott as bott_module
+import bottsamelson.cli as cli
 import bottsamelson.toric as toric
 from bottsamelson import (
     ToricDivisor,
@@ -25,13 +29,17 @@ from bottsamelson import (
     cohomology_table,
     demazure_table,
     demazure_weight,
+    load_problem,
     parse_problem,
+    run_oracle,
     weight_box,
 )
 from bottsamelson.bott import _sign_pattern_counts
+from bottsamelson.toric import _scan_table
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 ORACLE_PROBLEMS = 300
+TORIC_SCAN_POINTS = 20_000
 
 
 def _workloads():
@@ -88,11 +96,54 @@ def test_sweep_needs_no_recursion():
     assert table.euler == 1
 
 
-def test_closed_form_does_not_use_the_sweep(monkeypatch):
-    # the oracles check cohomology_table, so it must not share their kernel
+def test_scan_reference_does_not_use_the_sweep(monkeypatch):
+    # run_oracle checks the sweep's tables against the scan, so the scan
+    # must not share the sweep
     def refuse(*args):
-        raise AssertionError("cohomology_table called the sign-pattern sweep")
+        raise AssertionError("the scan called the sign-pattern sweep")
 
+    monkeypatch.setattr(bott_module, "_sign_pattern_counts", refuse)
     monkeypatch.setattr(toric, "_sign_pattern_counts", refuse)
     bott = build_bott_data(cartan_of_type("A", 2), Word((1, 2)))
-    assert cohomology_table(bott, ToricDivisor.upper((2, 1))).dims[0] > 0
+    divisor = ToricDivisor.upper((2, 1))
+    assert _scan_table(bott, divisor, weight_box(bott, divisor), False).dims[0] > 0
+    assert cohomology_table(bott, divisor, collect_witnesses=True).dims[0] > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_table_equals_the_scan_on_toric_boxes(seed):
+    workloads = _workloads()
+    checked = 0
+    for k in range(workloads.TURN["toric_boxes"]):
+        problem = workloads.problem("toric_boxes", seed, k)
+        if problem.size > TORIC_SCAN_POINTS:
+            continue
+        spec = parse_problem(json.loads(problem.text))
+        bott, divisor = spec.bott(), spec.divisor()
+        box = weight_box(bott, divisor)
+        assert cohomology_table(bott, divisor).dims == _scan_table(bott, divisor, box, False).dims, \
+            f"toric_boxes seed {seed} problem {k}"
+        checked += 1
+    assert checked >= 15
+
+
+def _drop_one_pattern(sweep):
+    """The sweep with the weights of one concentrated pattern left out."""
+    def dropped(*args):
+        counts = sweep(*args)
+        del counts[min(p for p in counts if p[0] == p[1])]
+        return counts
+    return dropped
+
+
+def test_oracle_catches_a_sweep_that_drops_a_pattern(monkeypatch):
+    # every sweep-based table loses the same weights, Cech included, so only
+    # the per-weight scan can tell
+    doc = json.dumps({"cartan": {"type": "A", "rank": 2}, "word": [1, 2], "divisor": [2, 1]})
+    assert run_oracle(load_problem(doc))["agree"] is True
+    monkeypatch.setattr(toric, "_sign_pattern_counts", _drop_one_pattern(_sign_pattern_counts))
+    out = run_oracle(load_problem(doc))
+    assert out["agree"] is False
+    assert out["simplicial"] == out["cech"] != out["closed_form"]
+    result = CliRunner().invoke(cli.main, ["oracle", "-"], input=doc)
+    assert result.exit_code == 4

@@ -1,9 +1,10 @@
 """Property tests: the reachable-root sweeps against enumeration, scan
 records against single-point reports, the sign-pattern sweep against
-per-weight masks, the per-weight masks and the closed form against phi
-from the beta formula, Serre duality of the toric table, and the corner
-weights inside the weight box, over finite, affine and indefinite
-matrices; and report_json against json.dumps.
+per-weight masks, the toric table from it against the per-weight scan,
+the per-weight masks and the closed form against phi from the beta
+formula, Serre duality of the toric table, and the corner weights inside
+the weight box, over finite, affine and indefinite matrices; and
+report_json against json.dumps.
 
 Derandomized, so the examples are the same on every run.
 """
@@ -37,7 +38,7 @@ from bottsamelson import (
 )
 from bottsamelson.analysis import _alpha_summary
 from bottsamelson.bott import _sign_masks, _sign_pattern_counts
-from bottsamelson.toric import _closed_degree
+from bottsamelson.toric import _closed_degree, _scan_table
 
 MATRICES = {
     "A3": cartan_of_type("A", 3),
@@ -118,6 +119,18 @@ def test_sign_pattern_counts_equal_per_weight_masks(data):
     for b in (box, grown):
         expected = Counter(_sign_masks(bott, divisor, m) for m in b.points())
         assert _sign_pattern_counts(bott, divisor, b.lo, b.hi) == expected
+
+
+@PROPERTY
+@given(st.data())
+def test_table_from_the_sweep_equals_the_scan(data):
+    bott = data.draw(towers(max_length=6))
+    n = bott.length
+    divisor = ToricDivisor(a=data.draw(coeffs(n, 3)), b=data.draw(coeffs(n, 2)))
+    assume(any(divisor.b))
+    box = weight_box(bott, divisor)
+    assume(box.num_points <= BOX_POINTS)
+    assert cohomology_table(bott, divisor).dims == _scan_table(bott, divisor, box, False).dims
 
 
 @PROPERTY

@@ -21,7 +21,7 @@ from bottsamelson import (
     weight_box,
     x_vector,
 )
-from conftest import random_coeffs, random_gcm, random_instance, random_word
+from conftest import hard_deadline, random_coeffs, random_gcm, random_instance, random_word
 
 P1 = build_bott_data(cartan_of_type("A", 1), Word((1,)))
 SL3 = build_bott_data(cartan_of_type("A", 2), Word((1, 2)))
@@ -175,3 +175,13 @@ def test_multiplicities_above_one_show_up():
     assert cohomology_table(P1, ToricDivisor.upper((-3,))).dims[1] == 2
     table = cohomology_table(SL3, ToricDivisor.upper((-4, 1)))
     assert sum(table.dims) > 0 and any(h >= 2 for h in table.dims)
+
+
+def test_table_of_a_box_near_the_cap_is_fast(rank3_tower):
+    # 1,515,625 box points: classifying them one by one takes seconds, the
+    # sign-pattern sweep visits one prefix per (m_2, m_3, m_4)
+    divisor = ToricDivisor.upper((24,) * 4)
+    assert weight_box(rank3_tower, divisor).num_points == 1_515_625
+    with hard_deadline(5.0):
+        table = cohomology_table(rank3_tower, divisor)
+    assert table.dims == (46111, 8086, 0, 0, 0)
