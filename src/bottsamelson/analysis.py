@@ -229,7 +229,7 @@ def _alpha_summary(bott: BottData) -> dict:
         for j in high:
             ranges[k, j] = low[j], high[j]
         if k > 1:
-            columns = next(_descend(gcm, letters[k - 1], columns, (0,)))
+            columns = _descend(gcm, letters[k - 1], columns)
     pairs = [
         {"i": i, "j": j, "min": ranges[i, j][0], "max": ranges[i, j][1]}
         for i in range(1, n + 1)
@@ -348,8 +348,8 @@ def scan_records(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> Iterator[dict
 
     One sweep over the grid's distinct suffixes gives every point's
     condition bounds (see vanishing._sweep_bounds), so the cost grows with
-    the suffixes and their reachable vectors, not with the grid volume
-    times the reachable vectors. One pass over those tables then gives
+    the suffixes times the coroot directions of the word, not with the
+    grid volume times the directions. One pass over those tables then gives
     every point's flag key (vanishing._flag_keys); the conclusions depend
     on the key alone and are built once per distinct key, at most
     2(N + 1)^2 of them.
@@ -396,9 +396,12 @@ def run_oracle(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
     "closed_form", so "agree" requires scan = sweep = simplicial = Cech
     and a defect in the sweep shows as a disagreement too.
 
-    On disagreement the result carries the lexicographically first weight
-    whose per-weight routes differ, if any, under "first_mismatch"; the
-    caller maps a disagreement to exit code 4.
+    On disagreement the result also carries the closed form summed over
+    the sweep's counts, under "closed_form_sweep", so a sweep defect that
+    every sweep-based table shares shows as closed_form_sweep = simplicial
+    = cech != closed_form; and the lexicographically first weight whose
+    per-weight routes differ, if any, under "first_mismatch". The caller
+    maps a disagreement to exit code 4.
     """
     bott = spec.bott()
     divisor = spec.divisor()
@@ -420,6 +423,7 @@ def run_oracle(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
         "agree": agree,
     }
     if not agree:
+        doc["closed_form_sweep"] = {"dims": list(swept.dims), "euler": swept.euler}
         for m in box.enlarged().points():
             masks = _sign_masks(bott, divisor, m)
             degree = _closed_degree(*masks)

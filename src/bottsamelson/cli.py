@@ -165,8 +165,10 @@ def _render_oracle(doc: dict) -> str:
     if doc["agree"]:
         lines.append("all three agree")
     else:
-        mism = doc.get("first_mismatch")
+        mism, swept = doc.get("first_mismatch"), doc.get("closed_form_sweep")
         lines.append("MISMATCH detected")
+        if swept:
+            lines.append(f"  closed form over the sign-pattern sweep: {_fmt_vec(swept['dims'])}")
         if mism:
             lines.append(f"  first failing weight: {_fmt_vec(mism['weight'])}")
             lines.append(f"    closed form: {mism['closed_form']}")

@@ -12,14 +12,14 @@ the simple reflection s_i acts by
 
     s_i(gamma) = gamma - <alpha_i^vee, gamma> alpha_i.
 
-The sweeps over a tower read a vector only through its coroot pairings
-c_k = <alpha_k^vee, gamma>, so they store a set of vectors as columns of
-pairings, one column per simple coroot they read (_descend). In those
-coordinates s_l sends c_k to c_k - a_kl c_l and adding a alpha_l adds
-a a_kl, so a step only rewrites the columns with a_kl != 0. When the
-matrix is singular, vectors that differ by an element of its kernel (in
-affine type, a multiple of the null root delta) have the same pairings
-and are stored once.
+The alpha summary's sweep reads a vector only through its coroot pairings
+c_k = <alpha_k^vee, gamma>, so it stores a set of vectors as columns of
+pairings, one column per simple coroot it reads (_descend). In those
+coordinates s_l sends c_k to c_k - a_kl c_l, so a step only rewrites the
+columns with a_kl != 0. When the matrix is singular, vectors that differ
+by an element of its kernel (in affine type, a multiple of the null root
+delta) have the same pairings and are stored once. The condition sweep
+works on the dual side, with coroot functionals (vanishing._sweep_bounds).
 
 All simple-root indices in this module are 1-based.
 """
@@ -27,7 +27,7 @@ All simple-root indices in this module are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import (
     DiagonalNotTwo,
@@ -149,34 +149,24 @@ def _descend(
     gcm: GeneralizedCartanMatrix,
     letter: int,
     columns: Dict[int, Sequence[int]],
-    shifts: Iterable[int],
-) -> Iterator[Dict[int, Tuple[int, ...]]]:
-    """Reach sets one step down a sweep, as columns of coroot pairings.
+) -> Dict[int, Tuple[int, ...]]:
+    """A set T and its reflection, as columns of coroot pairings.
 
-    columns maps simple-root indices k to the pairings <alpha_k^vee, lambda>
-    of a set of vectors lambda, one entry per vector in the same order in
-    every column. For each a in shifts, in order, yields the columns of
-    {s_l(lambda)} union {lambda + a alpha_l} with l = letter, equal rows
-    merged. s_l rewrites column k as c_k - a_kl c_l and the translation
-    adds a a_kl to it, so only the columns with a_kl != 0 change. The
-    merge is exact for any reader of the columns: each update reads the
-    pairings alone. A key that is not a simple-root index is carried along
-    unchanged, so it keeps apart rows that differ in it. Trusts letter to
-    be one of the keys.
+    columns maps simple-root indices k to the pairings <alpha_k^vee, gamma>
+    of a set T of vectors gamma, one entry per vector in the same order in
+    every column. Returns the columns of T union s_l(T), l = letter, equal
+    rows merged; the order of the rows is unspecified. s_l rewrites
+    column k as c_k - a_kl c_l, so only the columns with a_kl != 0
+    change. The merge is exact for any reader of the columns: the update
+    reads the pairings alone. A key that is not a simple-root index is
+    carried along unchanged, so it keeps apart rows that differ in it.
+    Trusts letter to be one of the keys.
     """
     l = letter - 1
-    coupled = [
-        (k, row[l]) for k, row in enumerate(gcm.entries, start=1) if row[l] and k in columns
-    ]
     pivot = columns[letter]
     reflected = dict(columns)
-    for k, a_kl in coupled:
-        reflected[k] = [c - a_kl * p for c, p in zip(columns[k], pivot)]
-    rows = set(zip(*reflected.values()))
-    for a in shifts:
-        moved = dict(columns)
-        if a:
-            for k, a_kl in coupled:
-                step = a * a_kl
-                moved[k] = [c + step for c in columns[k]]
-        yield dict(zip(columns, zip(*rows.union(zip(*moved.values())))))
+    for k, row in enumerate(gcm.entries, start=1):
+        if row[l] and k in columns:
+            reflected[k] = [c - row[l] * p for c, p in zip(columns[k], pivot)]
+    rows = set(zip(*columns.values())).union(zip(*reflected.values()))
+    return dict(zip(columns, zip(*rows)))

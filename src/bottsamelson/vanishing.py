@@ -1,21 +1,24 @@
 """Vanishing certificates from the corner sums C_i^eps.
 
 For a divisor D = sum a_i Z_i in the upper-ray basis, each index i yields
-the finite value set {C_i^eps} over all sign suffixes. The value set is
-read off one downward sweep over the tower: C_i^eps = a_i + <beta_i^vee,
-lambda> where lambda runs over the root-lattice vectors reachable from 0
-by applying, for k = N down to i + 1, either lambda -> a_k beta_k + lambda
-(eps_k = +) or lambda -> s_{beta_k}(lambda) (eps_k = -). Both steps and
-the value read depend on lambda only through its pairings with the simple
-coroots, so the sweep stores each lambda as its pairing vector, one
-column per letter of the word (rootsystem._descend), and suffixes that
-reach the same pairing vector are merged. The set at index i never
-outgrows the 2^(N-i) suffixes and is usually far smaller; when the Cartan
-matrix is singular, vectors that differ by its kernel (a multiple of the
-null root delta in affine type) are one state. The same sweep serves a
-whole grid of a-vectors: C_i depends on a only through a_i and the suffix
-(a_{i+1}, ..., a_N), so the sweep visits each distinct suffix once. Two
-one-sided conditions per index follow:
+the finite value set {C_i^eps} over all sign suffixes: C_i^eps = a_i +
+<beta_i^vee, lambda> where lambda runs over the set S_i of root-lattice
+vectors reachable from 0 by applying, for k = N down to i + 1, either
+lambda -> a_k beta_k + lambda (eps_k = +) or lambda -> s_{beta_k}(lambda)
+(eps_k = -). Only the min and max of that set matter, and they are
+values of the support function h_i(f) = max of f(lambda) over S_i at the
+coroot functionals +-beta_i^vee. One downward sweep carries h_i on the
+directions f that the indices below need, never S_i itself: a
+translation adds a_k f(beta_k) and a reflection moves the direction to
+f o s_{beta_k}, so the recursion is exact for any generalized Cartan
+matrix, and its cost per index is the number of directions. They are
+real coroots, and coroots that differ by the null coroot of affine type
+are one functional, so in finite and affine type there are at most as
+many as the roots of the (underlying) finite system at any N; in
+indefinite type their number can grow exponentially. The same sweep
+serves a whole grid of a-vectors: C_i depends on a only through a_i and
+the suffix (a_{i+1}, ..., a_N), so the sweep visits each distinct suffix
+once. Two one-sided conditions per index follow:
 
   * plus_ok(i):  every C_i^eps >= -1,
   * minus_ok(i): every C_i^eps <= -1.
@@ -47,11 +50,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bott import BottData, _check_coeffs
 from .errors import InconsistentData, IndexOutOfRange, NotInPicardBasis, VanishingContradiction
-from .rootsystem import _descend
 from .toric import CohomologyTable, DEFAULT_BOX_CAP, ToricDivisor, cohomology_table
 
 Eta = Tuple[int, ...]
@@ -92,20 +94,77 @@ class ConditionProfile:
 def condition_profile(bott: BottData, a: Sequence[int]) -> ConditionProfile:
     """Exact min and max of C_i^eps over all sign suffixes, with the flags.
 
-    One sweep from index N down to 1 carries the set of reachable pairing
-    vectors (see the module docstring), deduplicated, so the cost grows
-    with the number of distinct states rather than with the 2^(N-i)
-    suffixes; the flags are exact, not sampled. The set at index i never
-    exceeds 2^(N-i). Each lambda is a sum of at most N - i real roots
-    scaled by the a_k. In finite type there are finitely many roots, and in
-    affine type a real root pairs like a root of the underlying finite
-    system, because delta pairs to zero with every coroot. So the pairings
-    stay within O(N max|a_k|), and the set grows at most polynomially in
-    N: with degree the rank in finite type, and at most the rank minus one
-    in affine type, where the pairing vectors span a lattice of that rank.
-    In indefinite type it can grow exponentially.
+    The sweep of _sweep_bounds on a one-point grid: one upward pass builds
+    the coroot directions, and one pass from index N down to 1 carries a
+    support value per direction, so the cost is the number of directions
+    per index, not the 2^(N-i) suffixes or the reachable vectors. The
+    flags are exact, not sampled. In finite type the directions are
+    coroots, at most |Phi| per index at any N (12 for A3, 24 for D4). In
+    affine type they are coroots modulo the null coroot, which pairs to
+    zero with every root, so they are as few as the roots of the
+    underlying finite system (2 for A1^(1), 6 for A2^(1)). In indefinite
+    type their number can grow exponentially (1,338 at N = 26 and 115,194
+    at N = 50 on seeded words over a rank-3 matrix).
     """
     return _vanishing_report(bott, _check_coeffs(bott, a)).profile
+
+
+class _Plan(NamedTuple):
+    """The directions of the condition sweep (see _sweep_bounds).
+
+    Direction f is a coroot functional lambda -> <gamma, lambda>, stored as
+    its values f_k = <gamma, alpha_k> on the simple roots of the word's
+    letters (every reachable lambda lies in their span), and numbered in
+    the order it is found. D_i, the directions index i needs, is the first
+    |D_i| of them. Per 0-based position p: size[p] = |D_{p+1}|, and top[p]
+    and bottom[p] are the numbers of A[l_{p+1}] and -A[l_{p+1}], whose
+    support values are the max and -min of <beta_{p+1}^vee, lambda>. Per
+    letter l, for direction j: coef[l][j] = f_l and turn[l][j] is the
+    number of s_l f = f - f_l A[l]; both are filled as far as the steps of
+    letter l need.
+    """
+
+    size: List[int]
+    top: List[int]
+    bottom: List[int]
+    coef: Dict[int, List[int]]
+    turn: Dict[int, List[int]]
+
+
+def _direction_plan(bott: BottData) -> _Plan:
+    """One upward pass: D_1 = {+-A[l_1]}, and D_i is D_{i-1}, its image
+    under s_{l_i}, and +-A[l_i]. Each D_i lies in {+-A[l]} and its images
+    under the Weyl group, so in finite type it never holds more than the
+    roots (12 for A3, 24 for D4) at any N. Each direction is reflected at
+    most once per letter: a step of letter l only reflects the directions
+    found since its previous step."""
+    gcm, letters = bott.gcm, bott.word.letters
+    keys = sorted(set(letters))
+    rows = {l: tuple(gcm.entries[l - 1][k - 1] for k in keys) for l in keys}
+    negated = {l: tuple(-x for x in row) for l, row in rows.items()}
+    directions: List[Tuple[int, ...]] = []
+    number: Dict[Tuple[int, ...], int] = {}
+
+    def place(f: Tuple[int, ...]) -> int:
+        if f not in number:
+            number[f] = len(directions)
+            directions.append(f)
+        return number[f]
+
+    plan = _Plan([], [], [], {l: [] for l in keys}, {l: [] for l in keys})
+    for p, l in enumerate(letters):
+        row, coef, turn = rows[l], plan.coef[l], plan.turn[l]
+        if p:
+            at = keys.index(l)
+            for j in range(len(coef), len(directions)):
+                f = directions[j]
+                c = f[at]
+                coef.append(c)
+                turn.append(place(tuple([x - c * y for x, y in zip(f, row)])) if c else j)
+        plan.top.append(place(row))
+        plan.bottom.append(place(negated[l]))
+        plan.size.append(len(directions))
+    return plan
 
 
 def _sweep_bounds(bott: BottData, ranges: Sequence[Range]) -> List[List[Tuple[int, int]]]:
@@ -114,50 +173,57 @@ def _sweep_bounds(bott: BottData, ranges: Sequence[Range]) -> List[List[Tuple[in
     tables[i-1][k] is (min, max) of <beta_i^vee, lambda> over the vectors
     lambda reachable from 0 along the k-th suffix (a_{i+1}, ..., a_N) of the
     grid, suffixes numbered in lexicographic order; then C_i^eps runs over
-    a_i plus that interval. A depth-first walk over the suffixes, with an
+    a_i plus that interval. The set S_i of those lambda is never built:
+    the sweep carries its support function h_i(f) = max of f(lambda) over
+    S_i, one value per direction f of D_i (see _direction_plan), from
+    h_N = 0. S_{i-1} is S_i + a_i alpha_l together with s_l(S_i), l = l_i,
+    and <s_l gamma, lambda> = <gamma, s_l lambda>, so
+
+        h_{i-1}(f) = max(h_i(f) + a_i f_l, h_i(s_l f)),
+
+    exact for any generalized Cartan matrix; the bounds are h_i(A[l_i])
+    and -h_i(-A[l_i]). A depth-first walk over the suffixes, with an
     explicit stack so the depth N is not bounded by Python's recursion
-    limit, keeps one deduplicated reach set per suffix on the current path,
-    as columns of coroot pairings, so <beta_i^vee, lambda> is the column
-    of letter l_i. The bounds of a suffix one index lower are read off its
-    parent's set: <beta_{i-1}^vee, lambda + a_i beta_i> adds a_i a_kl to
-    column k = l_{i-1}, l = l_i, and <beta_{i-1}^vee, s_{beta_i}(lambda)>
-    is c_k - a_kl c_l, so min and max need no new set. So sets are built
-    for index 2 and up only, and each table holds at most V / (w_1 ... w_i)
+    limit, keeps one list of |D_i| values per suffix on the current path.
+    The bounds of a suffix one index lower are read off its parent's list,
+    from the two directions +-A[l_{i-1}] alone, so lists are built for
+    index 2 and up only, and each table holds at most V / (w_1 ... w_i)
     entries for a grid of volume V and range widths w.
     """
-    gcm, letters, n = bott.gcm, bott.word.letters, bott.length
+    plan, letters = _direction_plan(bott), bott.word.letters
     counts = _suffix_counts(ranges)
     tables: List[List[Tuple[int, int]]] = [[(0, 0)] * count for count in counts]
     stack: list = []
-    # 0-based position of index i = p + 1; one column per letter of the word
-    p, k, columns = n - 1, 0, dict.fromkeys(letters, (0,))
+    # 0-based position of index i = p + 1; h holds h_i over D_i
+    p, k = bott.length - 1, 0
+    h = [0] * plan.size[p]
     while True:
         if p > 0:
-            letter, prev = letters[p], letters[p - 1]
-            coupling = gcm.entries[prev - 1][letter - 1]
-            kept = columns[prev]
-            turned = [x - coupling * y for x, y in zip(kept, columns[letter])]
-            k_lo, k_hi, t_lo, t_hi = min(kept), max(kept), min(turned), max(turned)
+            l, top, bottom = letters[p], plan.top[p - 1], plan.bottom[p - 1]
+            turned = [h[j] for j in plan.turn[l][: plan.size[p - 1]]]
+            coupling = plan.coef[l][top]
+            k_lo, k_hi, t_lo, t_hi = -h[bottom], h[top], -turned[bottom], turned[top]
             lo, hi = ranges[p]
             table, step = tables[p - 1], counts[p]
             for a_p in range(lo, hi + 1):
                 shift = coupling * a_p
                 table[(a_p - lo) * step + k] = (min(k_lo + shift, t_lo), max(k_hi + shift, t_hi))
             if p > 1:
-                # eps = +: lambda + a_p beta_p; eps = -: s_{beta_p}(lambda)
-                stack.append([p, k, _descend(gcm, letter, columns, range(lo, hi + 1)), lo])
+                stack.append([p, k, lo, h, turned])
         if not stack:
             return tables
         # next child of the deepest open suffix; a finished suffix leaves the
-        # stack before its last child is built, so width-1 ranges hold one set
+        # stack before its last child is built, so width-1 ranges hold one list
         frame = stack[-1]
-        q, k, children, a_q = frame
+        q, k, a_q, h, turned = frame
         lo, hi = ranges[q]
         if a_q == hi:
             stack.pop()
         else:
-            frame[3] = a_q + 1
-        p, k, columns = q - 1, (a_q - lo) * counts[q] + k, next(children)
+            frame[2] = a_q + 1
+        # eps = +: f(lambda + a_q alpha_l) = f(lambda) + a_q f_l; eps = -: s_l f
+        p, k = q - 1, (a_q - lo) * counts[q] + k
+        h = [max(x + a_q * c, t) for x, c, t in zip(h, plan.coef[letters[q]], turned)]
 
 
 def _suffix_counts(ranges: Sequence[Range]) -> List[int]:

@@ -147,3 +147,18 @@ def test_oracle_catches_a_sweep_that_drops_a_pattern(monkeypatch):
     assert out["simplicial"] == out["cech"] != out["closed_form"]
     result = CliRunner().invoke(cli.main, ["oracle", "-"], input=doc)
     assert result.exit_code == 4
+
+
+def test_a_disagreeing_oracle_reports_the_closed_form_over_the_sweep(monkeypatch):
+    # the sweep's closed form sides with the tables that share its defect,
+    # so the report shows which table is off
+    doc = json.dumps({"cartan": {"type": "A", "rank": 2}, "word": [1, 2], "divisor": [2, 1]})
+    assert "closed_form_sweep" not in run_oracle(load_problem(doc))
+    monkeypatch.setattr(toric, "_sign_pattern_counts", _drop_one_pattern(_sign_pattern_counts))
+    out = run_oracle(load_problem(doc))
+    assert out["closed_form"]["dims"] == [5, 0, 0]
+    assert out["closed_form_sweep"] == out["simplicial"] == out["cech"] != out["closed_form"]
+    assert "first_mismatch" not in out
+    result = CliRunner().invoke(cli.main, ["oracle", "-"], input=doc)
+    assert result.exit_code == 4
+    assert "closed form over the sign-pattern sweep: (0, 0, 0)" in result.output

@@ -1,10 +1,11 @@
-"""Property tests: the reachable-root sweeps against enumeration, scan
-records against single-point reports, the sign-pattern sweep against
-per-weight masks, the toric table from it against the per-weight scan,
-the per-weight masks and the closed form against phi from the beta
-formula, Serre duality of the toric table, and the corner weights inside
-the weight box, over finite, affine and indefinite matrices; and
-report_json against json.dumps.
+"""Property tests: the reachable-root sweeps against enumeration, on
+random generalized Cartan matrices too, scan tables and records against
+single-point reports, the sign-pattern sweep against per-weight masks,
+the toric table from it against the per-weight scan, the per-weight
+masks and the closed form against phi from the beta formula, Serre
+duality of the toric table, and the corner weights inside the weight
+box, over finite, affine and indefinite matrices; and report_json
+against json.dumps.
 
 Derandomized, so the examples are the same on every run.
 """
@@ -12,6 +13,7 @@ Derandomized, so the examples are the same on every run.
 import json
 from collections import Counter
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -39,6 +41,7 @@ from bottsamelson import (
 from bottsamelson.analysis import _alpha_summary
 from bottsamelson.bott import _sign_masks, _sign_pattern_counts
 from bottsamelson.toric import _closed_degree, _scan_table
+from bottsamelson.vanishing import _sweep_bounds, _vanishing_report
 
 MATRICES = {
     "A3": cartan_of_type("A", 3),
@@ -79,6 +82,50 @@ def test_profile_equals_suffix_enumeration(data):
         values = [big_c(bott, a, i, (1,) * i + s) for s in all_sign_vectors(n - i)]
         assert profile.c_min[i - 1] == min(values)
         assert profile.c_max[i - 1] == max(values)
+
+
+@st.composite
+def random_gcms(draw):
+    """Any generalized Cartan matrix of rank 2-4 with off-diagonal entries
+    in [-3, 0], a_ij = 0 exactly when a_ji = 0."""
+    n = draw(st.integers(2, 4))
+    entries = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                entries[i][j] = draw(st.integers(-3, -1))
+                entries[j][i] = draw(st.integers(-3, -1))
+    return validate_gcm(entries)
+
+
+@PROPERTY
+@given(st.data())
+def test_profile_over_random_matrices_equals_suffix_enumeration(data):
+    gcm = data.draw(random_gcms())
+    n = data.draw(st.integers(1, 8))
+    bott = build_bott_data(gcm, data.draw(st.lists(st.integers(1, gcm.n), min_size=n, max_size=n)))
+    a = data.draw(coeffs(n, 4))
+    profile = condition_profile(bott, a)
+    for i in range(1, n + 1):
+        values = [big_c(bott, a, i, (1,) * i + s) for s in all_sign_vectors(n - i)]
+        assert (profile.c_min[i - 1], profile.c_max[i - 1]) == (min(values), max(values))
+
+
+@PROPERTY
+@given(st.data())
+def test_grid_tables_over_random_matrices_equal_single_point_reports(data):
+    gcm = data.draw(random_gcms())
+    n = data.draw(st.integers(1, 5))
+    bott = build_bott_data(gcm, data.draw(st.lists(st.integers(1, gcm.n), min_size=n, max_size=n)))
+    ranges = data.draw(scan_ranges(n))
+    tables = _sweep_bounds(bott, ranges)
+    for a in product(*(range(lo, hi + 1) for lo, hi in ranges)):
+        profile = _vanishing_report(bott, a).profile
+        k = 0  # lexicographic number of the suffix (a_{i+1}, ..., a_N)
+        for i in range(n, 0, -1):
+            low, high = tables[i - 1][k]
+            assert (profile.c_min[i - 1], profile.c_max[i - 1]) == (a[i - 1] + low, a[i - 1] + high)
+            k += (a[i - 1] - ranges[i - 1][0]) * prod(hi - lo + 1 for lo, hi in ranges[i:])
 
 
 @PROPERTY

@@ -29,7 +29,7 @@ from bottsamelson import (
     vanishing_report,
 )
 from bottsamelson.analysis import _alpha_summary
-from bottsamelson.vanishing import _sweep_bounds, _vanishing_report
+from bottsamelson.vanishing import _direction_plan, _sweep_bounds, _vanishing_report
 from conftest import SINGULAR_GCMS, hard_deadline, random_coeffs, random_instance, random_word
 
 SL3 = build_bott_data(cartan_of_type("A", 2), Word((1, 2)))
@@ -93,6 +93,38 @@ def test_profile_at_length_20_stays_fast_and_exact(gcm):
     for i in range(n - 7, n + 1):
         values = [big_c(bott, a, i, (1,) * i + s) for s in all_sign_vectors(n - i)]
         assert (profile.c_min[i - 1], profile.c_max[i - 1]) == (min(values), max(values))
+
+
+@pytest.mark.parametrize("gcm, n", [
+    (cartan_of_type("A", 3), 60),
+    (cartan_of_type("D", 4), 26),
+    (validate_gcm([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]]), 24),
+], ids=["A3_N60", "D4_N26", "indefinite_rank3_N24"])
+def test_long_profile_costs_its_directions_not_its_reach_set(gcm, n):
+    # reach sets grow like (N max|a|)^rank: swept as sets, the A3 word took
+    # about 20 s and the indefinite one over 1 s
+    rng = random.Random(n)
+    bott = build_bott_data(gcm, random_word(rng, gcm.n, n))
+    a = random_coeffs(rng, n, 3)
+    with hard_deadline(5.0):
+        profile = condition_profile(bott, a)
+    for i in range(n - 7, n + 1):
+        values = [big_c(bott, a, i, (1,) * i + s) for s in all_sign_vectors(n - i)]
+        assert (profile.c_min[i - 1], profile.c_max[i - 1]) == (min(values), max(values))
+
+
+@pytest.mark.parametrize("gcm, bound", [
+    (cartan_of_type("A", 3), 12),
+    (cartan_of_type("D", 4), 24),
+    (SINGULAR_GCMS["A1^(1)"], 2),
+], ids=["A3", "D4", "A1^(1)"])
+def test_directions_are_bounded_by_the_roots(gcm, bound):
+    # in finite type the directions are coroots, so their number does not
+    # grow with N; in A1^(1) the functionals do not see the null coroot
+    rng = random.Random(200)
+    plan = _direction_plan(build_bott_data(gcm, random_word(rng, gcm.n, 200)))
+    assert plan.size == sorted(plan.size)
+    assert plan.size[-1] <= bound
 
 
 @pytest.mark.parametrize("name", sorted(SINGULAR_GCMS))
