@@ -21,19 +21,15 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .bott import BottData, Word, _sign_masks, build_bott_data
 from .cech import _cech_pattern_dims, cech_table
 from .errors import BottSamelsonError, BoxTooLarge
-from .rootsystem import (
-    GeneralizedCartanMatrix,
-    _descend,
-    cartan_of_type,
-    validate_gcm,
-)
+from .rootsystem import GeneralizedCartanMatrix, cartan_of_type, validate_gcm
 from .simplicial import _demazure_pattern
 from .toric import (
     ALL_ZERO,
@@ -206,35 +202,27 @@ def load_problem(text: str) -> ProblemSpec:
 def _alpha_summary(bott: BottData) -> dict:
     """Fan data plus the exact range of alpha_ij^eps over interior signs.
 
-    alpha_ij^eps pairs beta_i^vee with a product of the s_{beta_k}, k in
-    (i, j) with eps_k = -, applied to beta_j. One sweep over k = N-1 down
-    to 1 keeps the deduplicated set of such images for every j > k at once,
-    as columns of coroot pairings (rootsystem._descend) with one more
-    column, key 0, that tags each image with its j: beta_{k+1} joins the
-    set, the range for (k, j) is the min and max of the column of letter
-    l_k over the rows tagged j, then s_{beta_k} of every member joins it.
+    alpha_ij^eps is the value at alpha_{l_j} of the coroot functional
+    s_{l_{j-1}}^eps ... s_{l_{i+1}}^eps (beta_i^vee), where s_{l_k}^eps is
+    s_{l_k} for eps_k = - and the identity for eps_k = +. So every range is
+    a read of the tower's direction plan (BottData.plan, which the
+    condition sweep reads too): for each i, keep the set of direction
+    numbers reachable from top[i-1], the number of beta_i^vee; at step j
+    read the min and max of coef[l_j] over the set, then add turn[l_j] of
+    every member. The set at step j lies inside D_{j-1}, where coef and
+    turn are filled, so the reads are exact for any generalized Cartan
+    matrix, and in finite type the set never holds more than the roots.
     """
-    gcm, letters, n = bott.gcm, bott.word.letters, bott.length
-    ranges = {}
-    columns = dict.fromkeys((0, *letters), ())
-    for k in range(n - 1, 0, -1):
-        root = letters[k] - 1  # beta_{k+1} joins as a row tagged k + 1
-        columns = {
-            key: col + (gcm.entries[key - 1][root] if key else k + 1,)
-            for key, col in columns.items()
-        }
-        # sorted (j, value) pairs: dict keeps the last value per j, the max
-        seen = sorted(set(zip(columns[0], columns[letters[k - 1]])))
-        high, low = dict(seen), dict(reversed(seen))
-        for j in high:
-            ranges[k, j] = low[j], high[j]
-        if k > 1:
-            columns = _descend(gcm, letters[k - 1], columns)
-    pairs = [
-        {"i": i, "j": j, "min": ranges[i, j][0], "max": ranges[i, j][1]}
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    ]
+    plan, letters, n = bott.plan, bott.word.letters, bott.length
+    coef = [plan.coef[l].__getitem__ for l in letters]
+    turn = [plan.turn[l].__getitem__ for l in letters]
+    pairs = []
+    for i in range(1, n):
+        reach = {plan.top[i - 1]}
+        for j in range(i + 1, n + 1):
+            values = list(map(coef[j - 1], reach))
+            pairs.append({"i": i, "j": j, "min": min(values), "max": max(values)})
+            reach = reach.union(map(turn[j - 1], reach))
     return {
         "dimension": n,
         "beta": [list(row) for row in bott.beta],
@@ -449,15 +437,25 @@ def report_json(doc: dict) -> str:
     string, written directly: with an indent, json.dumps takes its
     pure-Python encoder.
 
-    A list whose first item is a dict with exactly the scan-record keys
-    goes to _render_records, which renders the text after "a" once per
-    distinct conclusion. It is exact: the memo is keyed on the repr of the
-    conclusion, so values that compare equal but render differently (True
-    and 1, 1.0 and 1) never share an entry, and "a" is written from its
-    repr only when that is a list of ints below 10**18 in absolute value,
-    whose repr is their JSON. Every other record is rendered whole. (An
-    int subclass whose __repr__ prints other digits than its value would
-    be written as that repr; json.dumps writes the value.)
+    Two kinds of list take a fast path; every other value is rendered item
+    by item, and so is a list that fails its path's checks.
+
+    * Flat rows (_render_rows): a list of dicts with one set of str keys
+      whose values are all of type int below 10**18 in absolute value, bool
+      or None, such as the alpha summary's pairs and the conditions, is
+      written from one repr of its values and one row template. The exact
+      types keep out int subclasses, whose __repr__ may differ from what
+      json writes, and floats.
+    * Scan records: a list whose first item is a dict with exactly the
+      scan-record keys goes to _render_records, which renders the text
+      after "a" once per distinct conclusion. It is exact: the memo is
+      keyed on the repr of the conclusion, so values that compare equal
+      but render differently (True and 1, 1.0 and 1) never share an entry,
+      and "a" is written from its repr only when that is a list of ints
+      below 10**18 in absolute value, whose repr is their JSON. Every other
+      record is rendered whole. (An int subclass whose __repr__ prints
+      other digits than its value would be written as that repr; json.dumps
+      writes the value.)
     """
     return _render(doc, "\n")
 
@@ -484,8 +482,12 @@ def _render(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if type(value[0]) is dict and value[0].keys() == _RECORD_KEYS:
-            return _render_records(value, newline)
+        if type(value[0]) is dict:
+            if value[0].keys() == _RECORD_KEYS:
+                return _render_records(value, newline)
+            text = _render_rows(value, newline)
+            if text is not None:
+                return text
         inner = newline + "  "
         # 64-bit ints, most items of most reports, are written without a call
         return "[" + inner + ("," + inner).join([
@@ -499,6 +501,46 @@ _RECORD_KEYS = frozenset(("a", "everything_vanishes", "single_degree", "vanished
 # repr of a non-empty list of plain ints below 10**18 in absolute value,
 # each of which json writes as repr writes it
 _PLAIN_INTS = re.compile(r"\[-?[0-9]{1,18}(?:, -?[0-9]{1,18})*\]")
+_ROW_VALUE_TYPES = frozenset((int, bool, type(None)))
+_DICT_ONLY, _STR_ONLY = frozenset((dict,)), frozenset((str,))
+
+
+def _render_rows(rows, newline: str) -> Optional[str]:
+    """JSON text of a list of flat rows, its nested lines starting with
+    newline, or None when the list is not one.
+
+    Flat rows: every item is a dict with the str keys of the first item,
+    and every value is of type int, bool or None. Their values, flattened
+    in sorted key order, are written by one repr; its items are what json
+    writes once True, False and None take their JSON spellings, as long as
+    each int is at most 18 characters long, and so below 10**18 in absolute
+    value. They fill one row template repeated once per row.
+    """
+    first = rows[0]
+    if set(map(type, rows)) != _DICT_ONLY or set(map(type, first)) != _STR_ONLY:
+        return None
+    keys = sorted(first)
+    # with every key of the first row in each row (else itemgetter raises
+    # KeyError), equal sizes mean equal key sets
+    if sum(map(len, rows)) != len(rows) * len(keys):
+        return None
+    get = itemgetter(*keys)
+    try:
+        values = list(chain.from_iterable(map(get, rows)) if len(keys) > 1 else map(get, rows))
+    except KeyError:
+        return None
+    if not set(map(type, values)) <= _ROW_VALUE_TYPES:
+        return None
+    text = repr(values)[1:-1].replace("True", "true").replace("False", "false")
+    items = text.replace("None", "null").split(", ")
+    if max(map(len, items)) > 18:
+        return None
+    inner = newline + "  "
+    field = inner + "  "
+    row = "{" + field + ("," + field).join([
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
+    ]) + inner + "}"
+    return ("[" + inner + ("," + inner).join([row] * len(rows)) + newline + "]") % tuple(items)
 
 
 def _render_records(records, newline: str) -> str:

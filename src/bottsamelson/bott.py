@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from operator import mul
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import IndexOutOfRange, NotStrictlyIncreasing
 from .rootsystem import GeneralizedCartanMatrix, pairing, reflect, simple_root
@@ -80,6 +81,13 @@ class BottData:
         _check_position(self, i)
         return self.rays_plus[i - 1] if s > 0 else self.rays_minus[i - 1]
 
+    @cached_property
+    def plan(self) -> "_Plan":
+        """The coroot directions of the word (_direction_plan), built on
+        first use and kept with the tower; not a field, so equality, hash
+        and repr do not see it."""
+        return _direction_plan(self)
+
 
 def build_bott_data(gcm: GeneralizedCartanMatrix, word) -> BottData:
     """Assemble the fan data of the Bott tower for a word.
@@ -91,29 +99,82 @@ def build_bott_data(gcm: GeneralizedCartanMatrix, word) -> BottData:
     for pos, l in enumerate(w.letters, start=1):
         if l > gcm.n:
             raise IndexOutOfRange(f"word letter at position {pos}", l, f"1..{gcm.n}")
-    N = len(w)
     letters = w.letters
-
-    beta = tuple(
-        tuple(gcm.entry(letters[i], letters[j]) for j in range(N)) for i in range(N)
-    )
-    rays_plus = tuple(
-        tuple(1 if j == i else 0 for j in range(N)) for i in range(N)
-    )
-    rays_minus = []
-    for i in range(N):
-        v = [0] * N
-        v[i] = -1
-        for j in range(i + 1, N):
-            v[j] = -beta[i][j]
-        rays_minus.append(tuple(v))
+    # one Cartan row per distinct letter: row l holds <alpha_l^vee, beta_j> for every j
+    rows = {l: tuple([gcm.entries[l - 1][m - 1] for m in letters]) for l in set(letters)}
+    beta = tuple(rows[l] for l in letters)
+    N = len(letters)
     return BottData(
         gcm=gcm,
         word=w,
         beta=beta,
-        rays_plus=rays_plus,
-        rays_minus=tuple(rays_minus),
+        rays_plus=tuple((0,) * i + (1,) + (0,) * (N - 1 - i) for i in range(N)),
+        rays_minus=tuple(
+            (0,) * i + (-1,) + tuple([-x for x in row[i + 1:]]) for i, row in enumerate(beta)
+        ),
     )
+
+
+class _Plan(NamedTuple):
+    """The coroot directions of a word, which the condition sweep
+    (vanishing._sweep_bounds) and the alpha summary (analysis._alpha_summary)
+    both read.
+
+    Direction f is a coroot functional lambda -> <gamma, lambda>, stored as
+    its values f_k = <gamma, alpha_k> on the simple roots of the word's
+    letters (every vector either reader pairs lies in their span), and
+    numbered in the order it is found. D_i, the directions found by step i,
+    is the first |D_i| of them. Per 0-based position p: size[p] = |D_{p+1}|,
+    and top[p] and bottom[p] are the numbers of A[l_{p+1}] = beta_{p+1}^vee
+    and -A[l_{p+1}], whose support values in the condition sweep are the
+    max and -min of <beta_{p+1}^vee, lambda>. Per letter l, for direction
+    d: coef[l][d] = f_l, the value at alpha_l, and turn[l][d] is the number
+    of s_l f = f - f_l A[l]. A step i of letter l fills both over D_{i-1},
+    so they hold every direction that a reader reaches before step i.
+    """
+
+    size: List[int]
+    top: List[int]
+    bottom: List[int]
+    coef: Dict[int, List[int]]
+    turn: Dict[int, List[int]]
+
+
+def _direction_plan(bott: BottData) -> _Plan:
+    """One upward pass: D_1 = {+-A[l_1]}, and D_i is D_{i-1}, its image
+    under s_{l_i}, and +-A[l_i]. Each D_i lies in {+-A[l]} and its images
+    under the Weyl group, so in finite type it never holds more than the
+    roots (12 for A3, 24 for D4) at any N. Each direction is reflected at
+    most once per letter: a step of letter l only reflects the directions
+    found since its previous step. Read it through BottData.plan, which
+    builds it once per tower."""
+    gcm, letters = bott.gcm, bott.word.letters
+    keys = sorted(set(letters))
+    rows = {l: tuple(gcm.entries[l - 1][k - 1] for k in keys) for l in keys}
+    negated = {l: tuple(-x for x in row) for l, row in rows.items()}
+    directions: List[Tuple[int, ...]] = []
+    number: Dict[Tuple[int, ...], int] = {}
+
+    def place(f: Tuple[int, ...]) -> int:
+        if f not in number:
+            number[f] = len(directions)
+            directions.append(f)
+        return number[f]
+
+    plan = _Plan([], [], [], {l: [] for l in keys}, {l: [] for l in keys})
+    for p, l in enumerate(letters):
+        row, coef, turn = rows[l], plan.coef[l], plan.turn[l]
+        if p:
+            at = keys.index(l)
+            for j in range(len(coef), len(directions)):
+                f = directions[j]
+                c = f[at]
+                coef.append(c)
+                turn.append(place(tuple([x - c * y for x, y in zip(f, row)])) if c else j)
+        plan.top.append(place(row))
+        plan.bottom.append(place(negated[l]))
+        plan.size.append(len(directions))
+    return plan
 
 
 def signs(pattern: str) -> SignVector:

@@ -12,14 +12,16 @@ the simple reflection s_i acts by
 
     s_i(gamma) = gamma - <alpha_i^vee, gamma> alpha_i.
 
-The alpha summary's sweep reads a vector only through its coroot pairings
-c_k = <alpha_k^vee, gamma>, so it stores a set of vectors as columns of
-pairings, one column per simple coroot it reads (_descend). In those
-coordinates s_l sends c_k to c_k - a_kl c_l, so a step only rewrites the
-columns with a_kl != 0. When the matrix is singular, vectors that differ
-by an element of its kernel (in affine type, a multiple of the null root
-delta) have the same pairings and are stored once. The condition sweep
-works on the dual side, with coroot functionals (vanishing._sweep_bounds).
+Both sweeps of the package work on the dual side. A coroot functional
+f = <gamma, .> is stored as its values on simple roots, and s_l sends f to
+f - f(alpha_l) A[l], where A[l] is row l of the matrix, the functional of
+alpha_l^vee. The tower's direction plan (bott._direction_plan), built once
+per tower, holds the rows of the word's letters and their images under the
+letters' reflections, taken in word order; the condition sweep
+(vanishing._sweep_bounds) and the alpha summary (analysis._alpha_summary)
+both read it. When the matrix is singular, coroots that differ by an
+element of its left kernel (in affine type, a multiple of the null coroot)
+give the same functional and are stored once.
 
 All simple-root indices in this module are 1-based.
 """
@@ -27,7 +29,7 @@ All simple-root indices in this module are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import (
     DiagonalNotTwo,
@@ -144,29 +146,3 @@ def reflect(gcm: GeneralizedCartanMatrix, i: int, gamma: Sequence[int]) -> Root:
     p = pairing(gcm, i, g)
     return tuple(c - p if j == i - 1 else c for j, c in enumerate(g))
 
-
-def _descend(
-    gcm: GeneralizedCartanMatrix,
-    letter: int,
-    columns: Dict[int, Sequence[int]],
-) -> Dict[int, Tuple[int, ...]]:
-    """A set T and its reflection, as columns of coroot pairings.
-
-    columns maps simple-root indices k to the pairings <alpha_k^vee, gamma>
-    of a set T of vectors gamma, one entry per vector in the same order in
-    every column. Returns the columns of T union s_l(T), l = letter, equal
-    rows merged; the order of the rows is unspecified. s_l rewrites
-    column k as c_k - a_kl c_l, so only the columns with a_kl != 0
-    change. The merge is exact for any reader of the columns: the update
-    reads the pairings alone. A key that is not a simple-root index is
-    carried along unchanged, so it keeps apart rows that differ in it.
-    Trusts letter to be one of the keys.
-    """
-    l = letter - 1
-    pivot = columns[letter]
-    reflected = dict(columns)
-    for k, row in enumerate(gcm.entries, start=1):
-        if row[l] and k in columns:
-            reflected[k] = [c - row[l] * p for c, p in zip(columns[k], pivot)]
-    rows = set(zip(*columns.values())).union(zip(*reflected.values()))
-    return dict(zip(columns, zip(*rows)))

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bott import BottData, _check_coeffs
 from .errors import InconsistentData, IndexOutOfRange, NotInPicardBasis, VanishingContradiction
@@ -94,77 +94,19 @@ class ConditionProfile:
 def condition_profile(bott: BottData, a: Sequence[int]) -> ConditionProfile:
     """Exact min and max of C_i^eps over all sign suffixes, with the flags.
 
-    The sweep of _sweep_bounds on a one-point grid: one upward pass builds
-    the coroot directions, and one pass from index N down to 1 carries a
-    support value per direction, so the cost is the number of directions
-    per index, not the 2^(N-i) suffixes or the reachable vectors. The
-    flags are exact, not sampled. In finite type the directions are
-    coroots, at most |Phi| per index at any N (12 for A3, 24 for D4). In
-    affine type they are coroots modulo the null coroot, which pairs to
-    zero with every root, so they are as few as the roots of the
-    underlying finite system (2 for A1^(1), 6 for A2^(1)). In indefinite
-    type their number can grow exponentially (1,338 at N = 26 and 115,194
-    at N = 50 on seeded words over a rank-3 matrix).
+    The sweep of _sweep_bounds on a one-point grid: one pass from index N
+    down to 1 carries a support value per coroot direction of the tower
+    (BottData.plan, built once per tower), so the cost is the number of
+    directions per index, not the 2^(N-i) suffixes or the reachable
+    vectors. The flags are exact, not sampled. In finite type the
+    directions are coroots, at most |Phi| per index at any N (12 for A3,
+    24 for D4). In affine type they are coroots modulo the null coroot,
+    which pairs to zero with every root, so they are as few as the roots
+    of the underlying finite system (2 for A1^(1), 6 for A2^(1)). In
+    indefinite type their number can grow exponentially (1,338 at N = 26
+    and 115,194 at N = 50 on seeded words over a rank-3 matrix).
     """
     return _vanishing_report(bott, _check_coeffs(bott, a)).profile
-
-
-class _Plan(NamedTuple):
-    """The directions of the condition sweep (see _sweep_bounds).
-
-    Direction f is a coroot functional lambda -> <gamma, lambda>, stored as
-    its values f_k = <gamma, alpha_k> on the simple roots of the word's
-    letters (every reachable lambda lies in their span), and numbered in
-    the order it is found. D_i, the directions index i needs, is the first
-    |D_i| of them. Per 0-based position p: size[p] = |D_{p+1}|, and top[p]
-    and bottom[p] are the numbers of A[l_{p+1}] and -A[l_{p+1}], whose
-    support values are the max and -min of <beta_{p+1}^vee, lambda>. Per
-    letter l, for direction j: coef[l][j] = f_l and turn[l][j] is the
-    number of s_l f = f - f_l A[l]; both are filled as far as the steps of
-    letter l need.
-    """
-
-    size: List[int]
-    top: List[int]
-    bottom: List[int]
-    coef: Dict[int, List[int]]
-    turn: Dict[int, List[int]]
-
-
-def _direction_plan(bott: BottData) -> _Plan:
-    """One upward pass: D_1 = {+-A[l_1]}, and D_i is D_{i-1}, its image
-    under s_{l_i}, and +-A[l_i]. Each D_i lies in {+-A[l]} and its images
-    under the Weyl group, so in finite type it never holds more than the
-    roots (12 for A3, 24 for D4) at any N. Each direction is reflected at
-    most once per letter: a step of letter l only reflects the directions
-    found since its previous step."""
-    gcm, letters = bott.gcm, bott.word.letters
-    keys = sorted(set(letters))
-    rows = {l: tuple(gcm.entries[l - 1][k - 1] for k in keys) for l in keys}
-    negated = {l: tuple(-x for x in row) for l, row in rows.items()}
-    directions: List[Tuple[int, ...]] = []
-    number: Dict[Tuple[int, ...], int] = {}
-
-    def place(f: Tuple[int, ...]) -> int:
-        if f not in number:
-            number[f] = len(directions)
-            directions.append(f)
-        return number[f]
-
-    plan = _Plan([], [], [], {l: [] for l in keys}, {l: [] for l in keys})
-    for p, l in enumerate(letters):
-        row, coef, turn = rows[l], plan.coef[l], plan.turn[l]
-        if p:
-            at = keys.index(l)
-            for j in range(len(coef), len(directions)):
-                f = directions[j]
-                c = f[at]
-                coef.append(c)
-                turn.append(place(tuple([x - c * y for x, y in zip(f, row)])) if c else j)
-        plan.top.append(place(row))
-        plan.bottom.append(place(negated[l]))
-        plan.size.append(len(directions))
-    return plan
 
 
 def _sweep_bounds(bott: BottData, ranges: Sequence[Range]) -> List[List[Tuple[int, int]]]:
@@ -175,7 +117,7 @@ def _sweep_bounds(bott: BottData, ranges: Sequence[Range]) -> List[List[Tuple[in
     grid, suffixes numbered in lexicographic order; then C_i^eps runs over
     a_i plus that interval. The set S_i of those lambda is never built:
     the sweep carries its support function h_i(f) = max of f(lambda) over
-    S_i, one value per direction f of D_i (see _direction_plan), from
+    S_i, one value per direction f of D_i (see bott._direction_plan), from
     h_N = 0. S_{i-1} is S_i + a_i alpha_l together with s_l(S_i), l = l_i,
     and <s_l gamma, lambda> = <gamma, s_l lambda>, so
 
@@ -190,7 +132,7 @@ def _sweep_bounds(bott: BottData, ranges: Sequence[Range]) -> List[List[Tuple[in
     index 2 and up only, and each table holds at most V / (w_1 ... w_i)
     entries for a grid of volume V and range widths w.
     """
-    plan, letters = _direction_plan(bott), bott.word.letters
+    plan, letters = bott.plan, bott.word.letters
     counts = _suffix_counts(ranges)
     tables: List[List[Tuple[int, int]]] = [[(0, 0)] * count for count in counts]
     stack: list = []

@@ -5,13 +5,14 @@ the toric table from it against the per-weight scan, the per-weight
 masks and the closed form against phi from the beta formula, Serre
 duality of the toric table, and the corner weights inside the weight
 box, over finite, affine and indefinite matrices; and report_json
-against json.dumps.
+against json.dumps, on any document and on scan records and flat rows.
 
 Derandomized, so the examples are the same on every run.
 """
 
 import json
 from collections import Counter
+from enum import IntEnum
 from itertools import product
 from math import prod
 
@@ -133,6 +134,27 @@ def test_grid_tables_over_random_matrices_equal_single_point_reports(data):
 def test_alpha_summary_equals_interior_enumeration(bott):
     n = bott.length
     for pair in _alpha_summary(bott)["pairs"]:
+        i, j = pair["i"], pair["j"]
+        values = [
+            alpha_reflect(bott, i, j, (1,) * i + interior + (1,) * (n - j + 1))
+            for interior in all_sign_vectors(j - i - 1)
+        ]
+        assert (pair["min"], pair["max"]) == (min(values), max(values))
+
+
+@PROPERTY
+@given(st.data())
+def test_alpha_summary_over_random_matrices_equals_interior_enumeration(data):
+    # the summary reads the direction plan, whose coef and turn tables are
+    # filled only as far as the condition sweep needs; any matrix must do
+    gcm = data.draw(random_gcms())
+    n = data.draw(st.integers(1, 8))
+    bott = build_bott_data(gcm, data.draw(st.lists(st.integers(1, gcm.n), min_size=n, max_size=n)))
+    pairs = _alpha_summary(bott)["pairs"]
+    assert [(pair["i"], pair["j"]) for pair in pairs] == [
+        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    ]
+    for pair in pairs:
         i, j = pair["i"], pair["j"]
         values = [
             alpha_reflect(bott, i, j, (1,) * i + interior + (1,) * (n - j + 1))
@@ -405,5 +427,61 @@ def _record(a, e, s, v):
           dict(_record([2], False, None, [0]), extra=1), _record((3,), False, None, [0]),
           _record([], False, None, [0]), 7])
 def test_report_json_of_scan_shaped_records_equals_json_dumps(doc):
+    expected = json.dumps(_stringify_big_ints(doc), sort_keys=True, indent=2)
+    assert report_json(doc) == expected
+
+
+# Flat rows (a list of dicts with one key set and int, bool or None values)
+# take report_json's one-template writer. The values below sit on both sides
+# of its limits: ints of 18 and 19 characters, bools next to the ints and
+# floats they equal, and values that must not be written from a repr: -0.0,
+# strings that look like JSON words, nested lists, an IntEnum and an int
+# subclass whose repr lies. Keys hold % (the template is %-formatted) or
+# non-ASCII characters (written escaped).
+class _Shade(IntEnum):
+    DARK = 1
+
+
+class _LyingInt(int):
+    def __repr__(self):
+        return "7"
+
+
+ROW_KEYS = ["i", "j", "min", "max", "%", "%s", "a%%b", "\u00e9", "\u6f22\u5b57", ""]
+ROW_PLAIN = [0, 1, -1, 10**18 - 1, -(10**18 - 1), True, False, None]
+ROW_ODDS = [INT64_MAX, -INT64_MAX, INT64_MAX + 1, -INT64_MAX - 1, 10**18, -(10**18), 1.0, -0.0,
+            "", "true", "%s", [1, 2], [True, None], _Shade.DARK, _LyingInt(3)]
+
+
+@st.composite
+def flat_row_documents(draw):
+    """Two or more dicts with a shared key set, sometimes spoiled by an
+    extra or a missing key, a non-dict item or an odd value."""
+    keys = draw(st.lists(st.sampled_from(ROW_KEYS), min_size=1, max_size=4, unique=True))
+    values = st.one_of(st.sampled_from(ROW_PLAIN), st.integers(-(10**6), 10**6))
+    if draw(st.booleans()):
+        values = st.one_of(values, st.sampled_from(ROW_ODDS))
+    rows = [{k: draw(values) for k in keys} for _ in range(draw(st.integers(2, 6)))]
+    spoil = draw(st.sampled_from(["none"] * 4 + ["extra", "missing", "item"]))
+    row = draw(st.sampled_from(rows))
+    if spoil == "extra":
+        row[draw(st.sampled_from(ROW_KEYS + ["zz"]))] = draw(values)
+    elif spoil == "missing":
+        del row[draw(st.sampled_from(keys))]
+    elif spoil == "item":
+        rows.insert(draw(st.integers(1, len(rows))), draw(json_scalars))
+    return {"pairs": rows, "dimension": len(rows)} if draw(st.booleans()) else rows
+
+
+@PROPERTY
+@given(flat_row_documents())
+@example([{"i": 1, "max": True}, {"i": 1.0, "max": 1}])
+@example([{"%": INT64_MAX, "%s": 10**18}, {"%": -INT64_MAX - 1, "%s": 10**18 - 1}])
+@example([{"k": _LyingInt(3)}, {"k": _Shade.DARK}, {"k": -0.0}])
+@example([{"\u00e9": None, "a%%b": False}, {"\u00e9": "None", "a%%b": 0}])
+@example([{"i": 1, "j": 2}, {"i": 1, "j": 2, "min": 0}])
+@example([{"i": 1, "j": 2}, {"i": 1}])
+@example([{"k": 1}, {"k": None}, {"k": False}])
+def test_report_json_of_flat_rows_equals_json_dumps(doc):
     expected = json.dumps(_stringify_big_ints(doc), sort_keys=True, indent=2)
     assert report_json(doc) == expected

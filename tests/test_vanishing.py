@@ -28,8 +28,10 @@ from bottsamelson import (
     validate_gcm,
     vanishing_report,
 )
-from bottsamelson.analysis import _alpha_summary
-from bottsamelson.vanishing import _direction_plan, _sweep_bounds, _vanishing_report
+from bottsamelson import bott as bott_module
+from bottsamelson.analysis import _alpha_summary, run_analyze
+from bottsamelson.bott import _direction_plan
+from bottsamelson.vanishing import _sweep_bounds, _vanishing_report
 from conftest import SINGULAR_GCMS, hard_deadline, random_coeffs, random_instance, random_word
 
 SL3 = build_bott_data(cartan_of_type("A", 2), Word((1, 2)))
@@ -125,6 +127,46 @@ def test_directions_are_bounded_by_the_roots(gcm, bound):
     plan = _direction_plan(build_bott_data(gcm, random_word(rng, gcm.n, 200)))
     assert plan.size == sorted(plan.size)
     assert plan.size[-1] <= bound
+
+
+def test_the_direction_plan_is_built_once_per_tower(monkeypatch):
+    # the condition sweep and the alpha summary of one analyze read one
+    # plan, and so do library loops over one tower
+    builds, build = [], bott_module._direction_plan
+
+    def counted(bott):
+        builds.append(bott)
+        return build(bott)
+
+    monkeypatch.setattr(bott_module, "_direction_plan", counted)
+    doc = {"cartan": {"type": "B", "rank": 3}, "word": [1, 2, 3, 2, 1, 3], "divisor": [1, -2, 0, 3, -1, 2]}
+    run_analyze(parse_problem(doc), with_toric=False)
+    assert len(builds) == 1
+    bott = build_bott_data(cartan_of_type("B", 3), Word((1, 2, 3, 2, 1, 3)))
+    for a in product(range(-1, 2), repeat=6):
+        condition_profile(bott, a)
+    _alpha_summary(bott)
+    assert builds[1:] == [bott]
+
+
+def test_alpha_summary_of_a_long_word_costs_its_directions():
+    # A3's directions are its 12 coroots at any N, so each of the N(N-1)/2
+    # ranges reads at most 12 of them
+    n = 200
+    bott = build_bott_data(cartan_of_type("A", 3), random_word(random.Random(n), 3, n))
+    with hard_deadline(5.0):
+        pairs = _alpha_summary(bott)["pairs"]
+    assert len(pairs) == n * (n - 1) // 2
+    ranges = {(pair["i"], pair["j"]): (pair["min"], pair["max"]) for pair in pairs}
+    # a coroot of a simply-laced finite system pairs with a root in [-2, 2]
+    assert all(-2 <= lo <= hi <= 2 for lo, hi in ranges.values())
+    for i in range(1, n, 19):
+        for j in range(i + 1, min(i + 8, n + 1)):
+            values = [
+                alpha_reflect(bott, i, j, (1,) * i + s + (1,) * (n - j + 1))
+                for s in all_sign_vectors(j - i - 1)
+            ]
+            assert ranges[i, j] == (min(values), max(values))
 
 
 @pytest.mark.parametrize("name", sorted(SINGULAR_GCMS))
