@@ -36,6 +36,7 @@ from .errors import (
     NotStrictlyIncreasing,
     PositiveOffDiagonal,
     TooLarge,
+    UnsupportedFamily,
     UnsupportedRank,
     ZeroAsymmetry,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "SimplicialComplex",
     "TooLarge",
     "ToricDivisor",
+    "UnsupportedFamily",
     "UnsupportedRank",
     "VanishingCertificate",
     "VanishingReport",

@@ -19,7 +19,6 @@ library.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii
@@ -446,16 +445,17 @@ def report_json(doc: dict) -> str:
       written from one repr of its values and one row template. The exact
       types keep out int subclasses, whose __repr__ may differ from what
       json writes, and floats.
-    * Scan records: a list whose first item is a dict with exactly the
-      scan-record keys goes to _render_records, which renders the text
-      after "a" once per distinct conclusion. It is exact: the memo is
-      keyed on the repr of the conclusion, so values that compare equal
-      but render differently (True and 1, 1.0 and 1) never share an entry,
-      and "a" is written from its repr only when that is a list of ints
-      below 10**18 in absolute value, whose repr is their JSON. Every other
-      record is rendered whole. (An int subclass whose __repr__ prints
-      other digits than its value would be written as that repr; json.dumps
-      writes the value.)
+    * Scan records (_render_records): a list whose first item is a dict
+      with exactly the scan-record keys is checked whole, once. It passes
+      when every item is such a dict, every "a" a non-empty list of type-int
+      items within +-(2**63 - 1), every "everything_vanishes" of type bool,
+      every "single_degree" of type int or None and every "vanished" a list
+      of type-int items. Then each record is written from one head, the repr
+      of each distinct int of the "a" lists, and the text after "a", which
+      is rendered once per distinct conclusion. The exact types make that
+      memo exact: values that compare equal but render differently (True
+      and 1, 1.0 and 1) never reach it. A list that fails the check is
+      rendered item by item, as any other list is.
     """
     return _render(doc, "\n")
 
@@ -484,8 +484,9 @@ def _render(value, newline: str) -> str:
             return "[]"
         if type(value[0]) is dict:
             if value[0].keys() == _RECORD_KEYS:
-                return _render_records(value, newline)
-            text = _render_rows(value, newline)
+                text = _render_records(value, newline)
+            else:
+                text = _render_rows(value, newline)
             if text is not None:
                 return text
         inner = newline + "  "
@@ -498,11 +499,11 @@ def _render(value, newline: str) -> str:
 
 
 _RECORD_KEYS = frozenset(("a", "everything_vanishes", "single_degree", "vanished"))
-# repr of a non-empty list of plain ints below 10**18 in absolute value,
-# each of which json writes as repr writes it
-_PLAIN_INTS = re.compile(r"\[-?[0-9]{1,18}(?:, -?[0-9]{1,18})*\]")
+_RECORD_COLUMNS = tuple(map(itemgetter, sorted(_RECORD_KEYS)))
 _ROW_VALUE_TYPES = frozenset((int, bool, type(None)))
+_DEGREE_TYPES = frozenset((int, type(None)))
 _DICT_ONLY, _STR_ONLY = frozenset((dict,)), frozenset((str,))
+_LIST_ONLY, _INT_ONLY, _BOOL_ONLY = frozenset((list,)), frozenset((int,)), frozenset((bool,))
 
 
 def _render_rows(rows, newline: str) -> Optional[str]:
@@ -543,35 +544,53 @@ def _render_rows(rows, newline: str) -> Optional[str]:
     return ("[" + inner + ("," + inner).join([row] * len(rows)) + newline + "]") % tuple(items)
 
 
-def _render_records(records, newline: str) -> str:
-    """JSON text of scan records, its nested lines starting with newline.
+def _render_records(records, newline: str) -> Optional[str]:
+    """JSON text of a list of scan records, its nested lines starting with
+    newline, or None when the list fails the whole-list check that
+    report_json describes.
 
-    Each distinct conclusion's text is rendered once; see report_json for
-    which records share it.
+    The memo of the text after "a" is keyed on (e, s, *v), which is exact
+    only once the types are: True == 1 == 1.0.
     """
+    if set(map(type, records)) != _DICT_ONLY or sum(map(len, records)) != 4 * len(records):
+        return None
+    # with every record key in each record (else the getter raises
+    # KeyError), four keys apiece means exactly the record keys
+    try:
+        column_a, column_e, column_s, column_v = (list(map(get, records))
+                                                  for get in _RECORD_COLUMNS)
+    except KeyError:
+        return None
+    if (set(map(type, column_a)) != _LIST_ONLY or not all(column_a)
+            or set(map(type, chain.from_iterable(column_a))) != _INT_ONLY
+            or set(map(type, column_e)) != _BOOL_ONLY
+            or not set(map(type, column_s)) <= _DEGREE_TYPES
+            or set(map(type, column_v)) != _LIST_ONLY
+            or not set(map(type, chain.from_iterable(column_v))) <= _INT_ONLY):
+        return None
+    ints = set(chain.from_iterable(column_a))
+    if min(ints) < -_INT64_MAX or max(ints) > _INT64_MAX:
+        return None
+    text = dict(zip(ints, map(repr, ints))).__getitem__
     inner = newline + "  "
     field = inner + "  "
     head = "{" + field + '"a": [' + field + "  "
-    comma = "," + field + "  "
+    sep = "," + field + "  "
     tails = {}
     items = []
-    for rec in records:
-        text = repr(rec["a"]) if type(rec) is dict and rec.keys() == _RECORD_KEYS else ""
-        if not _PLAIN_INTS.fullmatch(text):
-            items.append(_render(rec, inner))
-            continue
-        e, s, v = rec["everything_vanishes"], rec["single_degree"], rec["vanished"]
-        memo = repr((e, s, v))
-        tail = tails.get(memo)
+    for a, e, s, v in zip(column_a, column_e, column_s, column_v):
+        key = (e, s, *v)
+        tail = tails.get(key)
         if tail is None:
-            tail = tails[memo] = (
+            tail = tails[key] = (
                 field + "]," + field + '"everything_vanishes": ' + _render(e, field)
                 + "," + field + '"single_degree": ' + _render(s, field)
                 + "," + field + '"vanished": ' + _render(v, field) + inner + "}"
             )
-        items.append(head + text[1:-1].replace(", ", comma) + tail)
-    if not items:
-        return "[]"
+        items.append(head + sep.join(map(text, a)) + tail)
+    # the join holds the items and the whole text at once, the peak of the
+    # call, so the columns are gone by then
+    del column_a, column_e, column_s, column_v
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 

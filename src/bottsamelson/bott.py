@@ -28,7 +28,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import IndexOutOfRange, NotStrictlyIncreasing
-from .rootsystem import GeneralizedCartanMatrix, pairing, reflect, simple_root
+from .rootsystem import GeneralizedCartanMatrix
 
 if TYPE_CHECKING:
     from .toric import ToricDivisor
@@ -224,13 +224,19 @@ def _check_divisor(bott: BottData, divisor: "ToricDivisor") -> None:
 def _alpha(bott: BottData, i: int, j: int, minus: Tuple[int, ...]) -> int:
     """alpha_ij^eps from the increasing positions k in (i, j) with eps_k = -1.
 
-    Trusts its arguments: 1 <= i < j <= N and minus inside (i, j).
+    Reflects the root beta_j in simple-root coordinates straight on the
+    Cartan rows: s_l lowers coordinate l by <alpha_l^vee, gamma>, the
+    product of row l with gamma. Trusts its arguments: 1 <= i < j <= N and
+    minus inside (i, j). It does not read the direction plan, so big_c
+    stays independent of the condition sweep.
     """
-    letters = bott.word.letters
-    gamma = simple_root(bott.gcm, letters[j - 1])
+    letters, rows = bott.word.letters, bott.gcm.entries
+    gamma = [0] * bott.gcm.n
+    gamma[letters[j - 1] - 1] = 1
     for k in reversed(minus):  # the factor with largest k acts first
-        gamma = reflect(bott.gcm, letters[k - 1], gamma)
-    return pairing(bott.gcm, letters[i - 1], gamma)
+        l = letters[k - 1] - 1
+        gamma[l] -= sum(map(mul, rows[l], gamma))
+    return sum(map(mul, rows[letters[i - 1] - 1], gamma))
 
 
 def alpha_reflect(bott: BottData, i: int, j: int, eps: Sequence[int]) -> int:

@@ -47,6 +47,13 @@ class UnsupportedRank(BottSamelsonError):
         )
 
 
+class UnsupportedFamily(BottSamelsonError):
+    def __init__(self, family: str, supported: str):
+        super().__init__(
+            f"Cartan type {family!r} is not supported; the supported types are {supported}"
+        )
+
+
 class IndexOutOfRange(BottSamelsonError):
     def __init__(self, what: str, i, bound):
         super().__init__(f"{what} index {i} out of range {bound}")

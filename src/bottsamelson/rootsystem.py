@@ -36,6 +36,7 @@ from .errors import (
     IndexOutOfRange,
     NonSquare,
     PositiveOffDiagonal,
+    UnsupportedFamily,
     UnsupportedRank,
     ZeroAsymmetry,
 )
@@ -88,12 +89,14 @@ def cartan_of_type(family: str, rank: int) -> GeneralizedCartanMatrix:
     Conventions: entry(i, j) = <alpha_i^vee, alpha_j>, nodes numbered along
     the chain with the short root last in type B (so entry(n, n-1) = -2) and
     the long root last in type C (entry(n-1, n) = -2). Type D forks at the
-    end: node n is attached to node n-2.
+    end: node n is attached to node n-2. Any other family raises
+    UnsupportedFamily, and a rank below the family's minimum (1 for A, 2
+    for B and C, 3 for D) raises UnsupportedRank.
     """
     family = family.upper()
     minimum = {"A": 1, "B": 2, "C": 2, "D": 3}.get(family)
     if minimum is None:
-        raise UnsupportedRank(family, rank, 1)
+        raise UnsupportedFamily(family, "A, B, C and D")
     if rank < minimum:
         raise UnsupportedRank(family, rank, minimum)
     n = rank

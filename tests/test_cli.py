@@ -136,6 +136,17 @@ def test_typed_cartan_entry_past_the_cap_is_a_capacity_error(rank):
     )
 
 
+@pytest.mark.parametrize("family", ["G", "e", "F"])
+def test_unsupported_cartan_family_is_named_as_such(family):
+    doc = json.dumps({"cartan": {"type": family, "rank": 2}, "word": [1], "divisor": [0]})
+    result = run(["analyze", "--no-toric", "-"], stdin=doc)
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"error: Cartan type '{family.upper()}' is not supported; "
+        "the supported types are A, B, C and D\n"
+    )
+
+
 def test_typed_cartan_limit_is_fixed_whatever_the_cap():
     # the limit counts matrix entries, not lattice points, so --cap moves it
     # neither down nor up

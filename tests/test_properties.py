@@ -351,13 +351,22 @@ def test_report_json_equals_json_dumps_of_stringified_ints(doc):
 
 
 
+class _Shade(IntEnum):
+    DARK = 1
+
+
+class _LyingInt(int):
+    def __repr__(self):
+        return "7"
+
+
 # Scan-shaped records reach report_json's per-conclusion writer only when a
 # list's first item is a dict with exactly the scan-record keys, which
 # json_documents almost never draws. The records below share a few
 # conclusions up to values that compare equal but render differently (True,
 # 1 and 1.0; False, 0, 0.0 and -0.0), which must not share a memo entry, and
-# their "a" lists hold ints of 19 digits or more, which must not take the
-# plain-int path.
+# their "a" lists hold ints past +-(2**63 - 1), which must be written as
+# strings. Any such value in any record sends the whole list item by item.
 RECORD_INTS = [0, 1, -1, 10**18 - 1, -(10**18 - 1), 10**18, 2**63 - 1, 2**63,
                -(2**63), 10**19 - 1, 2**70]
 EQUAL_GROUPS = ([True, 1, 1.0], [False, 0, 0.0, -0.0])
@@ -426,6 +435,23 @@ def _record(a, e, s, v):
 @example([_record([1], False, None, [0]), {"a": [1], "vanished": [0]},
           dict(_record([2], False, None, [0]), extra=1), _record((3,), False, None, [0]),
           _record([], False, None, [0]), 7])
+# one example per clause of the whole-list check: a later record breaks it
+@example([_record([1], True, None, [0]), _record([2], 1, None, [0])])
+@example([_record([1], False, None, [0]), _record([2], 0.0, None, [0])])
+@example([_record([1], False, 1, [0]), _record([2], False, True, [0])])
+@example([_record([1], False, None, [1]), _record([2], False, None, [True])])
+@example([_record([1], False, None, [1]), _record([2], False, None, [1.0])])
+@example([_record([1], False, None, [1]), _record([2], False, None, {1: 0})])
+@example([_record([1], False, None, [0]), _record([2**63], False, None, [0])])
+@example([_record([1], False, None, [0]), _record([-(2**63)], False, None, [0])])
+@example([_record([1], False, None, [0]), _record([True], False, None, [0])])
+@example([_record([1], False, None, [0]), _record([_LyingInt(5)], False, None, [0])])
+@example([_record([1], False, None, [0]), _record([], False, None, [0])])
+@example([_record([1], False, None, [0]), _record((2,), False, None, [0])])
+@example([_record([1], False, None, [0]), _record({2: 0}, False, None, [0])])
+@example([_record([1], False, None, [0]),
+          {"a": [2], "everything_vanishes": False, "single_degree": None, "zz": [0]}])
+@example([_record([1], False, None, [0]), dict(_record([2], False, None, [0]), zz=1)])
 def test_report_json_of_scan_shaped_records_equals_json_dumps(doc):
     expected = json.dumps(_stringify_big_ints(doc), sort_keys=True, indent=2)
     assert report_json(doc) == expected
@@ -438,15 +464,6 @@ def test_report_json_of_scan_shaped_records_equals_json_dumps(doc):
 # strings that look like JSON words, nested lists, an IntEnum and an int
 # subclass whose repr lies. Keys hold % (the template is %-formatted) or
 # non-ASCII characters (written escaped).
-class _Shade(IntEnum):
-    DARK = 1
-
-
-class _LyingInt(int):
-    def __repr__(self):
-        return "7"
-
-
 ROW_KEYS = ["i", "j", "min", "max", "%", "%s", "a%%b", "\u00e9", "\u6f22\u5b57", ""]
 ROW_PLAIN = [0, 1, -1, 10**18 - 1, -(10**18 - 1), True, False, None]
 ROW_ODDS = [INT64_MAX, -INT64_MAX, INT64_MAX + 1, -INT64_MAX - 1, 10**18, -(10**18), 1.0, -0.0,

@@ -5,6 +5,7 @@ from bottsamelson import (
     GeneralizedCartanMatrix,
     NonSquare,
     PositiveOffDiagonal,
+    UnsupportedFamily,
     UnsupportedRank,
     ZeroAsymmetry,
     cartan_of_type,
@@ -86,7 +87,7 @@ def test_cartan_rank_bounds():
         cartan_of_type("B", 1)
     with pytest.raises(UnsupportedRank):
         cartan_of_type("D", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedFamily):
         cartan_of_type("E", 6)  # not implemented on purpose
 
 
