@@ -25,16 +25,17 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .bott import BottData, Word, _sign_masks, build_bott_data
+from .bott import BottData, Word, _line_masks, build_bott_data
 from .cech import _cech_pattern_dims, cech_table
 from .errors import BottSamelsonError, BoxTooLarge
-from .rootsystem import GeneralizedCartanMatrix, cartan_of_type, validate_gcm
+from .rootsystem import GeneralizedCartanMatrix, _family_minimum, cartan_of_type, validate_gcm
 from .simplicial import _demazure_pattern
 from .toric import (
     ALL_ZERO,
     CONCENTRATED,
     DEFAULT_BOX_CAP,
     ToricDivisor,
+    WeightBox,
     _box_counts,
     _checked_box,
     _closed_degree,
@@ -133,6 +134,7 @@ def parse_problem(doc: dict) -> ProblemSpec:
         rank = cartan.get("rank")
         if not isinstance(family, str) or isinstance(rank, bool) or not isinstance(rank, int):
             raise ProblemError("'cartan' with a type needs string 'type' and integer 'rank'")
+        _family_minimum(family.upper())  # a family refused at any rank is named first
         entries = rank * rank
         if rank > 0 and entries > DEFAULT_BOX_CAP:
             raise BoxTooLarge(entries, DEFAULT_BOX_CAP, message=(
@@ -310,17 +312,22 @@ def run_toric(
 
 
 def run_weights(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
-    """Per-weight dump over the weight box."""
+    """Per-weight dump over the weight box, in lexicographic order, each
+    weight classified by the closed form on the signs that bott._line_masks
+    gives one box line at a time."""
     bott = spec.bott()
     divisor = spec.divisor()
     box = _checked_box(bott, divisor, cap)
     records = []
-    for m in box.points():
-        degree = _closed_degree(*_sign_masks(bott, divisor, m))
-        if degree is None:
-            records.append({"weight": list(m), "kind": ALL_ZERO})
-        else:
-            records.append({"weight": list(m), "kind": CONCENTRATED, "degree": degree})
+    line = range(box.lo[-1], box.hi[-1] + 1)
+    for prefix, masks in _line_masks(bott, divisor, box.lo, box.hi):
+        for m_n, masks_m in zip(line, masks):
+            weight = [*prefix, m_n]
+            degree = _closed_degree(*masks_m)
+            if degree is None:
+                records.append({"weight": weight, "kind": ALL_ZERO})
+            else:
+                records.append({"weight": weight, "kind": CONCENTRATED, "degree": degree})
     return {
         "schema": SCHEMA_VERSION,
         "command": "weights",
@@ -411,21 +418,29 @@ def run_oracle(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
     }
     if not agree:
         doc["closed_form_sweep"] = {"dims": list(swept.dims), "euler": swept.euler}
-        for m in box.enlarged().points():
-            masks = _sign_masks(bott, divisor, m)
-            degree = _closed_degree(*masks)
+        doc.update(_first_mismatch(bott, divisor, box.enlarged()))
+    return doc
+
+
+def _first_mismatch(bott: BottData, divisor: ToricDivisor, box: WeightBox) -> dict:
+    """{"first_mismatch": ...} for the lexicographically first weight of the
+    box whose per-weight closed form, simplicial and Cech dimensions
+    differ, or {} when there is none."""
+    line = range(box.lo[-1], box.hi[-1] + 1)
+    for prefix, masks in _line_masks(bott, divisor, box.lo, box.hi):
+        for m_n, masks_m in zip(line, masks):
+            degree = _closed_degree(*masks_m)
             per_closed = {} if degree is None else {degree: 1}
-            per_simplicial = dict(_demazure_pattern(*masks))
-            per_cech = dict(_cech_pattern_dims(bott.length, *masks))
+            per_simplicial = dict(_demazure_pattern(*masks_m))
+            per_cech = dict(_cech_pattern_dims(bott.length, *masks_m))
             if not (per_closed == per_simplicial == per_cech):
-                doc["first_mismatch"] = {
-                    "weight": list(m),
+                return {"first_mismatch": {
+                    "weight": [*prefix, m_n],
                     "closed_form": per_closed,
                     "simplicial": per_simplicial,
                     "cech": per_cech,
-                }
-                break
-    return doc
+                }}
+    return {}
 
 
 def report_json(doc: dict) -> str:

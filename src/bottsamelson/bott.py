@@ -23,9 +23,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import IndexOutOfRange, NotStrictlyIncreasing
 from .rootsystem import GeneralizedCartanMatrix
@@ -384,6 +384,44 @@ def _sign_masks(bott: BottData, divisor: "ToricDivisor", w: Weight) -> Tuple[int
             bad_minus |= bit
         bit <<= 1
     return bad_plus, bad_minus
+
+
+def _line_masks(
+    bott: BottData, divisor: "ToricDivisor", lo: Sequence[int], hi: Sequence[int]
+) -> Iterator[Tuple[Weight, List[Tuple[int, int]]]]:
+    """The _sign_masks of every weight of the box lo <= m <= hi, one line
+    at a time: a line is the weights that share m_1, ..., m_{N-1}.
+
+    Lines come in lexicographic order, each as its prefix (m_1, ...,
+    m_{N-1}) and the (bad_plus, bad_minus) of its weights for m_N = lo_N,
+    ..., hi_N. Per line the prefix's upper-ray bits and p_i, the pairing
+    of the prefix with the stored ray vector e_i^- plus b_i, are computed
+    once. Per weight each lower ray is still evaluated on its own, as
+    p_i + e_i^-[N] m_N < 0, and the upper ray of index N as m_N + a_N < 0.
+    No partial sums or thresholds are shared, so the enumerator stays
+    independent of the sign-pattern sweep. Trusts its arguments: a checked
+    divisor and bounds of the tower's length with lo <= hi.
+    """
+    n = bott.length
+    a, b, rays = divisor.a, divisor.b, bott.rays_minus
+    bits = [1 << i for i in range(n)]
+    last_bit, last_a = bits[-1], a[-1]
+    lower = list(zip(rays, b, [ray[-1] for ray in rays], bits))
+    line = range(lo[-1], hi[-1] + 1)
+    for prefix in product(*(range(l, h + 1) for l, h in zip(lo[:-1], hi[:-1]))):
+        plus = 0
+        for m_i, a_i, bit in zip(prefix, a, bits):
+            if m_i + a_i < 0:
+                plus |= bit
+        terms = [(sum(map(mul, prefix, ray)) + b_i, c, bit) for ray, b_i, c, bit in lower]
+        masks = []
+        for m in line:
+            minus = 0
+            for p, c, bit in terms:
+                if p + c * m < 0:
+                    minus |= bit
+            masks.append((plus | last_bit if m + last_a < 0 else plus, minus))
+        yield prefix, masks
 
 
 def _sign_pattern_counts(

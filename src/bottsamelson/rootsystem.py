@@ -94,9 +94,7 @@ def cartan_of_type(family: str, rank: int) -> GeneralizedCartanMatrix:
     for B and C, 3 for D) raises UnsupportedRank.
     """
     family = family.upper()
-    minimum = {"A": 1, "B": 2, "C": 2, "D": 3}.get(family)
-    if minimum is None:
-        raise UnsupportedFamily(family, "A, B, C and D")
+    minimum = _family_minimum(family)
     if rank < minimum:
         raise UnsupportedRank(family, rank, minimum)
     n = rank
@@ -114,6 +112,15 @@ def cartan_of_type(family: str, rank: int) -> GeneralizedCartanMatrix:
         a[n - 1][n - 3] = -1
         a[n - 3][n - 1] = -1
     return validate_gcm(a)
+
+
+def _family_minimum(family: str) -> int:
+    """The smallest rank of an upper-case family that cartan_of_type
+    supports; any other family raises UnsupportedFamily."""
+    minimum = {"A": 1, "B": 2, "C": 2, "D": 3}.get(family)
+    if minimum is None:
+        raise UnsupportedFamily(family, "A, B, C and D")
+    return minimum
 
 
 def _check_index(gcm: GeneralizedCartanMatrix, i: int) -> None:

@@ -18,7 +18,11 @@ weights per sign pattern, and the table sums each pattern's degree times
 its count. demazure_table reads the same counts through the simplicial
 complexes Sigma_m. The per-weight scan, _scan_table, stays as the
 reference that the oracle checks the sweep against, and it lists the
-witnesses.
+witnesses. It reads every weight's signs from bott._line_masks, which
+walks the box one line (fixed m_1, ..., m_{N-1}) at a time: the prefix's
+part of each phi is paired once per line, and each weight still gets its
+own test of every lower ray and of the last upper ray, sharing nothing
+with the sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .bott import (
     BottData,
     Weight,
     _check_divisor,
-    _sign_masks,
+    _line_masks,
     _sign_pattern_counts,
     _weight_masks,
 )
@@ -244,24 +248,27 @@ def _scan_table(
 ) -> CohomologyTable:
     """The closed form weight by weight over the box, in lexicographic order.
 
-    The reference of the sweep: it reads each weight's signs with
-    _sign_masks on the ray vectors that BottData stores, and never calls
-    the sign-pattern sweep, so run_oracle can check the sweep against it.
-    Witnesses are kept as cohomology_table describes.
+    The reference of the sweep: it reads each weight's signs from
+    bott._line_masks, which evaluates phi on the ray vectors that BottData
+    stores one box line at a time, and never calls the sign-pattern sweep,
+    so run_oracle can check the sweep against it. Witnesses are kept as
+    cohomology_table describes.
     """
     dims = [0] * (bott.length + 1)
     witnesses = [] if collect_witnesses else None
     truncated = False
-    for m in box.points():
-        degree = _closed_degree(*_sign_masks(bott, divisor, m))
-        if degree is None:
-            continue
-        dims[degree] += 1
-        if witnesses is not None:
-            if len(witnesses) < WITNESS_CAP:
-                witnesses.append((m, degree))
-            else:
-                truncated = True
+    line = range(box.lo[-1], box.hi[-1] + 1)
+    for prefix, masks in _line_masks(bott, divisor, box.lo, box.hi):
+        for m_n, (bad_plus, bad_minus) in zip(line, masks):
+            degree = _closed_degree(bad_plus, bad_minus)
+            if degree is None:
+                continue
+            dims[degree] += 1
+            if witnesses is not None:
+                if len(witnesses) < WITNESS_CAP:
+                    witnesses.append((prefix + (m_n,), degree))
+                else:
+                    truncated = True
     return CohomologyTable(
         dims=tuple(dims),
         euler=_euler(dims),

@@ -147,6 +147,16 @@ def test_unsupported_cartan_family_is_named_as_such(family):
     )
 
 
+def test_unsupported_family_is_named_before_the_entry_limit():
+    # G is refused at any rank, so the matrix-entry limit has nothing to say
+    doc = json.dumps({"cartan": {"type": "G", "rank": 2000}, "word": [1], "divisor": [0]})
+    result = run(["analyze", "--no-toric", "-"], stdin=doc)
+    assert result.exit_code == 2
+    assert result.stderr == (
+        "error: Cartan type 'G' is not supported; the supported types are A, B, C and D\n"
+    )
+
+
 def test_typed_cartan_limit_is_fixed_whatever_the_cap():
     # the limit counts matrix entries, not lattice points, so --cap moves it
     # neither down nor up

@@ -1,6 +1,7 @@
 """Property tests: the reachable-root sweeps against enumeration, on
 random generalized Cartan matrices too, scan tables and records against
-single-point reports, the sign-pattern sweep against per-weight masks,
+single-point reports, the sign-pattern sweep and the line-by-line
+enumerator against per-weight masks,
 the toric table from it against the per-weight scan, the per-weight
 masks and the closed form against phi from the beta formula, Serre
 duality of the toric table, and the corner weights inside the weight
@@ -23,6 +24,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from bottsamelson import (
     ToricDivisor,
+    WeightBox,
     all_sign_vectors,
     alpha_reflect,
     big_c,
@@ -40,7 +42,7 @@ from bottsamelson import (
     x_vector,
 )
 from bottsamelson.analysis import _alpha_summary
-from bottsamelson.bott import _sign_masks, _sign_pattern_counts
+from bottsamelson.bott import _line_masks, _sign_masks, _sign_pattern_counts
 from bottsamelson.toric import _closed_degree, _scan_table
 from bottsamelson.vanishing import _sweep_bounds, _vanishing_report
 
@@ -188,6 +190,50 @@ def test_sign_pattern_counts_equal_per_weight_masks(data):
     for b in (box, grown):
         expected = Counter(_sign_masks(bott, divisor, m) for m in b.points())
         assert _sign_pattern_counts(bott, divisor, b.lo, b.hi) == expected
+
+
+def flattened_line_masks(bott, divisor, lo, hi):
+    line = range(lo[-1], hi[-1] + 1)
+    return [
+        (prefix + (m_n,), *masks_m)
+        for prefix, masks in _line_masks(bott, divisor, lo, hi)
+        for m_n, masks_m in zip(line, masks)
+    ]
+
+
+@st.composite
+def boxes(draw, n):
+    """lo and hi of a box of n ranges, each of width 1 to 4."""
+    lo = draw(coeffs(n, 4))
+    widths = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return tuple(lo), tuple(l + w - 1 for l, w in zip(lo, widths))
+
+
+@PROPERTY
+@given(st.data())
+def test_line_masks_equal_per_weight_masks(data):
+    bott = data.draw(towers(max_length=6))
+    n = bott.length
+    divisor = ToricDivisor(a=data.draw(coeffs(n, 3)), b=data.draw(coeffs(n, 2)))
+    box = weight_box(bott, divisor)
+    grown = box.enlarged()
+    assume(grown.num_points <= BOX_POINTS)
+    for lo, hi in ((box.lo, box.hi), (grown.lo, grown.hi), data.draw(boxes(n))):
+        expected = [(m, *_sign_masks(bott, divisor, m)) for m in WeightBox(lo, hi).points()]
+        assert flattened_line_masks(bott, divisor, lo, hi) == expected
+
+
+@pytest.mark.parametrize("name", ["B3", "A1^(1)", "indefinite"])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_line_masks_on_thin_boxes_equal_per_weight_masks(name, n):
+    # a one-point box, and boxes whose last range has width 1, with b != 0
+    gcm = MATRICES[name]
+    bott = build_bott_data(gcm, [1 + k % gcm.n for k in range(n)])
+    divisor = ToricDivisor(a=[(-1) ** k * (k + 1) for k in range(n)], b=[2 - k for k in range(n)])
+    lo = tuple(range(-n, 0))
+    for hi in (lo, tuple(l + 2 for l in lo[:-1]) + lo[-1:]):
+        expected = [(m, *_sign_masks(bott, divisor, m)) for m in WeightBox(lo, hi).points()]
+        assert flattened_line_masks(bott, divisor, lo, hi) == expected
 
 
 @PROPERTY

@@ -146,6 +146,26 @@ def test_witness_collection_and_truncation(monkeypatch):
     assert capped.witnesses_truncated
 
 
+def test_truncated_witnesses_are_the_first_in_lexicographic_order(monkeypatch):
+    # witnesses span several box lines, so each is its line's prefix plus m_N
+    bott = build_bott_data(cartan_of_type("A", 2), Word((1, 2, 1)))
+    divisor = ToricDivisor(a=(2, 1, 2), b=(1, -1, 0))
+    box = weight_box(bott, divisor)
+    expected = []
+    for m in box.points():
+        outcome = classify_weight(bott, divisor, m)
+        if not outcome.is_zero:
+            expected.append((m, outcome.degree))
+    table = cohomology_table(bott, divisor, collect_witnesses=True)
+    assert table.witnesses == tuple(expected) and not table.witnesses_truncated
+    assert len({m[:-1] for m, _ in expected}) > 2
+    monkeypatch.setattr(toric, "WITNESS_CAP", 5)
+    capped = cohomology_table(bott, divisor, collect_witnesses=True)
+    assert capped.witnesses == tuple(expected[:5])
+    assert capped.witnesses_truncated
+    assert capped.dims == table.dims
+
+
 def test_weight_box_helpers():
     box = WeightBox(lo=(0, -1), hi=(1, 0))
     assert box.num_points == 4
