@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .bott import BottData, Word, _line_masks, build_bott_data
+from .bott import BottData, Word, _line_masks, _sign_masks, build_bott_data
 from .cech import _cech_pattern_dims, cech_table
 from .errors import BottSamelsonError, BoxTooLarge
 from .rootsystem import GeneralizedCartanMatrix, _family_minimum, cartan_of_type, validate_gcm
@@ -200,6 +200,9 @@ def load_problem(text: str) -> ProblemSpec:
     return parse_problem(doc)
 
 
+_SORTED_READ = 32
+
+
 def _alpha_summary(bott: BottData) -> dict:
     """Fan data plus the exact range of alpha_ij^eps over interior signs.
 
@@ -207,23 +210,35 @@ def _alpha_summary(bott: BottData) -> dict:
     s_{l_{j-1}}^eps ... s_{l_{i+1}}^eps (beta_i^vee), where s_{l_k}^eps is
     s_{l_k} for eps_k = - and the identity for eps_k = +. So every range is
     a read of the tower's direction plan (BottData.plan, which the
-    condition sweep reads too): for each i, keep the set of direction
-    numbers reachable from top[i-1], the number of beta_i^vee; at step j
-    read the min and max of coef[l_j] over the set, then add turn[l_j] of
-    every member. The set at step j lies inside D_{j-1}, where coef and
-    turn are filled, so the reads are exact for any generalized Cartan
-    matrix, and in finite type the set never holds more than the roots.
+    condition sweep reads too): for each i, keep the direction numbers
+    reachable from top[i-1], the number of beta_i^vee, as a set and a list
+    of the same members; at step j read the min and max of coef[l_j] over
+    the list, add turn[l_j] of every member to the set, and rebuild the
+    list only when the set grew. The reach at step j lies inside D_{j-1},
+    where coef and turn are filled, so the reads are exact for any
+    generalized Cartan matrix, and in finite type it never holds more than
+    the roots. A reach of fewer than _SORTED_READ members, a handful on
+    most towers, has both ends read by one sorted call, which costs less
+    than a list, min and max there; past that, sorting costs more.
     """
     plan, letters, n = bott.plan, bott.word.letters, bott.length
     coef = [plan.coef[l].__getitem__ for l in letters]
     turn = [plan.turn[l].__getitem__ for l in letters]
     pairs = []
     for i in range(1, n):
-        reach = {plan.top[i - 1]}
+        reach = [plan.top[i - 1]]
+        seen = set(reach)
         for j in range(i + 1, n + 1):
-            values = list(map(coef[j - 1], reach))
-            pairs.append({"i": i, "j": j, "min": min(values), "max": max(values)})
-            reach = reach.union(map(turn[j - 1], reach))
+            if len(reach) < _SORTED_READ:
+                values = sorted(map(coef[j - 1], reach))
+                low, high = values[0], values[-1]
+            else:
+                values = list(map(coef[j - 1], reach))
+                low, high = min(values), max(values)
+            pairs.append({"i": i, "j": j, "min": low, "max": high})
+            seen.update(map(turn[j - 1], reach))
+            if len(seen) != len(reach):
+                reach = list(seen)
     return {
         "dimension": n,
         "beta": [list(row) for row in bott.beta],
@@ -393,9 +408,10 @@ def run_oracle(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
     On disagreement the result also carries the closed form summed over
     the sweep's counts, under "closed_form_sweep", so a sweep defect that
     every sweep-based table shares shows as closed_form_sweep = simplicial
-    = cech != closed_form; and the lexicographically first weight whose
-    per-weight routes differ, if any, under "first_mismatch". The caller
-    maps a disagreement to exit code 4.
+    = cech != closed_form; and, under "first_mismatch", the
+    lexicographically first weight whose per-weight routes differ or whose
+    signs from bott._line_masks differ from bott._sign_masks, if any. The
+    caller maps a disagreement to exit code 4.
     """
     bott = spec.bott()
     divisor = spec.divisor()
@@ -425,20 +441,30 @@ def run_oracle(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
 def _first_mismatch(bott: BottData, divisor: ToricDivisor, box: WeightBox) -> dict:
     """{"first_mismatch": ...} for the lexicographically first weight of the
     box whose per-weight closed form, simplicial and Cech dimensions
-    differ, or {} when there is none."""
+    differ, or, where they agree, whose (bad_plus, bad_minus) from
+    _line_masks differ from _sign_masks, or {} when there is none. Every
+    rule reads the line masks, so a defect in them shows only there."""
     line = range(box.lo[-1], box.hi[-1] + 1)
     for prefix, masks in _line_masks(bott, divisor, box.lo, box.hi):
         for m_n, masks_m in zip(line, masks):
+            weight = (*prefix, m_n)
             degree = _closed_degree(*masks_m)
             per_closed = {} if degree is None else {degree: 1}
             per_simplicial = dict(_demazure_pattern(*masks_m))
             per_cech = dict(_cech_pattern_dims(bott.length, *masks_m))
             if not (per_closed == per_simplicial == per_cech):
                 return {"first_mismatch": {
-                    "weight": [*prefix, m_n],
+                    "weight": list(weight),
                     "closed_form": per_closed,
                     "simplicial": per_simplicial,
                     "cech": per_cech,
+                }}
+            expected = _sign_masks(bott, divisor, weight)
+            if masks_m != expected:
+                return {"first_mismatch": {
+                    "weight": list(weight),
+                    "line_masks": list(masks_m),
+                    "sign_masks": list(expected),
                 }}
     return {}
 
@@ -451,15 +477,26 @@ def report_json(doc: dict) -> str:
     string, written directly: with an indent, json.dumps takes its
     pure-Python encoder.
 
-    Two kinds of list take a fast path; every other value is rendered item
-    by item, and so is a list that fails its path's checks.
+    Three kinds of list take a fast path; every other value is rendered
+    item by item, and so is a list that fails its path's checks. The first
+    two fill one row template (_fill) from one flattened tuple.
 
+    * Int tables (_render_table): a list of lists, all of one non-zero
+      length, whose entries are all of type int within +-(2**63 - 1), such
+      as beta, rays_minus, the echoed Cartan matrix and scan ranges, is
+      written with one %d per entry. The checks are the item types, the
+      row lengths, the entry types and the min and max entry; a ragged or
+      an empty row, a bool, a float, an int subclass or an int past the
+      range sends the list item by item.
     * Flat rows (_render_rows): a list of dicts with one set of str keys
-      whose values are all of type int below 10**18 in absolute value, bool
-      or None, such as the alpha summary's pairs and the conditions, is
-      written from one repr of its values and one row template. The exact
-      types keep out int subclasses, whose __repr__ may differ from what
-      json writes, and floats.
+      whose values are all of type int, bool or None, such as the alpha
+      summary's pairs and the conditions. When every value is of type int
+      within +-(2**63 - 1) (the pairs), the row template writes them with
+      %d, checked by the min and max value. Otherwise (a bool or None
+      among them, as in the conditions) one repr writes them, and every
+      int must be below 10**18 in absolute value. The exact types keep out
+      int subclasses, whose __repr__ may differ from what json writes,
+      bools, which %d writes as 1 and 0, and floats.
     * Scan records (_render_records): a list whose first item is a dict
       with exactly the scan-record keys is checked whole, once. It passes
       when every item is such a dict, every "a" a non-empty list of type-int
@@ -497,13 +534,14 @@ def _render(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if type(value[0]) is dict:
-            if value[0].keys() == _RECORD_KEYS:
-                text = _render_records(value, newline)
-            else:
-                text = _render_rows(value, newline)
-            if text is not None:
-                return text
+        first = type(value[0])
+        if first is dict:
+            text = (_render_records if value[0].keys() == _RECORD_KEYS else _render_rows)(
+                value, newline)
+        else:
+            text = _render_table(value, newline) if first is list else None
+        if text is not None:
+            return text
         inner = newline + "  "
         # 64-bit ints, most items of most reports, are written without a call
         return "[" + inner + ("," + inner).join([
@@ -527,10 +565,12 @@ def _render_rows(rows, newline: str) -> Optional[str]:
 
     Flat rows: every item is a dict with the str keys of the first item,
     and every value is of type int, bool or None. Their values, flattened
-    in sorted key order, are written by one repr; its items are what json
-    writes once True, False and None take their JSON spellings, as long as
-    each int is at most 18 characters long, and so below 10**18 in absolute
-    value. They fill one row template repeated once per row.
+    in sorted key order, fill one row template repeated once per row
+    (_fill). When every value is of type int within +-(2**63 - 1), the
+    template writes each with %d. Otherwise one repr writes them all; its
+    items are what json writes once True, False and None take their JSON
+    spellings, as long as each int is at most 18 characters long, and so
+    below 10**18 in absolute value.
     """
     first = rows[0]
     if set(map(type, rows)) != _DICT_ONLY or set(map(type, first)) != _STR_ONLY:
@@ -545,18 +585,49 @@ def _render_rows(rows, newline: str) -> Optional[str]:
         values = list(chain.from_iterable(map(get, rows)) if len(keys) > 1 else map(get, rows))
     except KeyError:
         return None
-    if not set(map(type, values)) <= _ROW_VALUE_TYPES:
+    types = set(map(type, values))
+    if types == _INT_ONLY:
+        if min(values) < -_INT64_MAX or max(values) > _INT64_MAX:
+            return None
+        spec = "%d"
+    else:
+        if not types <= _ROW_VALUE_TYPES:
+            return None
+        text = repr(values)[1:-1].replace("True", "true").replace("False", "false")
+        values = text.replace("None", "null").split(", ")
+        if max(map(len, values)) > 18:
+            return None
+        spec = "%s"
+    fields = [encode_basestring_ascii(k).replace("%", "%%") + ": " + spec for k in keys]
+    return _fill("{", fields, "}", len(rows), newline, values)
+
+
+def _render_table(rows, newline: str) -> Optional[str]:
+    """JSON text of a list of int rows, its nested lines starting with
+    newline, or None when the list is not one.
+
+    Int rows: every item is a list, all of one non-zero length, and every
+    entry is of type int within +-(2**63 - 1), such as a Cartan matrix,
+    beta or rays_minus. One row template writes each entry with %d (_fill).
+    """
+    if set(map(type, rows)) != _LIST_ONLY or len(set(map(len, rows))) != 1 or not rows[0]:
         return None
-    text = repr(values)[1:-1].replace("True", "true").replace("False", "false")
-    items = text.replace("None", "null").split(", ")
-    if max(map(len, items)) > 18:
+    values = list(chain.from_iterable(rows))
+    if (set(map(type, values)) != _INT_ONLY
+            or min(values) < -_INT64_MAX or max(values) > _INT64_MAX):
         return None
+    return _fill("[", ["%d"] * len(rows[0]), "]", len(rows), newline, values)
+
+
+def _fill(open_: str, fields: Sequence[str], close: str, count: int, newline: str,
+          values: Sequence) -> str:
+    """JSON text of count rows, each open_, its fields on their own lines
+    and close, one %-template filled from values, its nested lines starting
+    with newline."""
     inner = newline + "  "
     field = inner + "  "
-    row = "{" + field + ("," + field).join([
-        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
-    ]) + inner + "}"
-    return ("[" + inner + ("," + inner).join([row] * len(rows)) + newline + "]") % tuple(items)
+    row = open_ + field + ("," + field).join(fields) + inner + close
+    return ("[" + inner + ("," + inner).join([row] * count) + newline + "]") % tuple(values)
 
 
 def _render_records(records, newline: str) -> Optional[str]:

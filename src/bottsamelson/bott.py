@@ -147,32 +147,35 @@ def _direction_plan(bott: BottData) -> _Plan:
     roots (12 for A3, 24 for D4) at any N. Each direction is reflected at
     most once per letter: a step of letter l only reflects the directions
     found since its previous step. Read it through BottData.plan, which
-    builds it once per tower."""
+    builds it once per tower.
+
+    A direction gets the next number when number.setdefault first sees it,
+    and directions[k] is the direction numbered k."""
     gcm, letters = bott.gcm, bott.word.letters
     keys = sorted(set(letters))
-    rows = {l: tuple(gcm.entries[l - 1][k - 1] for k in keys) for l in keys}
-    negated = {l: tuple(-x for x in row) for l, row in rows.items()}
+    column = {l: k for k, l in enumerate(keys)}
+    rows = {l: tuple([gcm.entries[l - 1][k - 1] for k in keys]) for l in keys}
+    negated = {l: tuple([-x for x in row]) for l, row in rows.items()}
     directions: List[Tuple[int, ...]] = []
     number: Dict[Tuple[int, ...], int] = {}
-
-    def place(f: Tuple[int, ...]) -> int:
-        if f not in number:
-            number[f] = len(directions)
-            directions.append(f)
-        return number[f]
-
     plan = _Plan([], [], [], {l: [] for l in keys}, {l: [] for l in keys})
-    for p, l in enumerate(letters):
-        row, coef, turn = rows[l], plan.coef[l], plan.turn[l]
-        if p:
-            at = keys.index(l)
-            for j in range(len(coef), len(directions)):
-                f = directions[j]
-                c = f[at]
-                coef.append(c)
-                turn.append(place(tuple([x - c * y for x, y in zip(f, row)])) if c else j)
-        plan.top.append(place(row))
-        plan.bottom.append(place(negated[l]))
+    for l in letters:
+        row, coef, turn, at = rows[l], plan.coef[l], plan.turn[l], column[l]
+        for j in range(len(coef), len(directions)):
+            f = directions[j]
+            c = f[at]
+            coef.append(c)
+            if c:  # else s_l f = f, number j
+                f = tuple([x - c * y for x, y in zip(f, row)])
+                j = number.setdefault(f, len(directions))
+                if j == len(directions):
+                    directions.append(f)
+            turn.append(j)
+        for f, ends in ((row, plan.top), (negated[l], plan.bottom)):
+            j = number.setdefault(f, len(directions))
+            if j == len(directions):
+                directions.append(f)
+            ends.append(j)
         plan.size.append(len(directions))
     return plan
 

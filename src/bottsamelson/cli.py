@@ -171,9 +171,13 @@ def _render_oracle(doc: dict) -> str:
             lines.append(f"  closed form over the sign-pattern sweep: {_fmt_vec(swept['dims'])}")
         if mism:
             lines.append(f"  first failing weight: {_fmt_vec(mism['weight'])}")
-            lines.append(f"    closed form: {mism['closed_form']}")
-            lines.append(f"    simplicial : {mism['simplicial']}")
-            lines.append(f"    cech       : {mism['cech']}")
+            if "line_masks" in mism:
+                lines.append(f"    line masks: {_fmt_vec(mism['line_masks'])}")
+                lines.append(f"    sign masks: {_fmt_vec(mism['sign_masks'])}")
+            else:
+                lines.append(f"    closed form: {mism['closed_form']}")
+                lines.append(f"    simplicial : {mism['simplicial']}")
+                lines.append(f"    cech       : {mism['cech']}")
     return "\n".join(lines)
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import bottsamelson.analysis as analysis
 import bottsamelson.bott as bott_module
 import bottsamelson.cli as cli
 import bottsamelson.toric as toric
@@ -34,7 +35,7 @@ from bottsamelson import (
     run_oracle,
     weight_box,
 )
-from bottsamelson.bott import _sign_pattern_counts
+from bottsamelson.bott import _line_masks, _sign_pattern_counts
 from bottsamelson.toric import _scan_table
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -162,3 +163,31 @@ def test_a_disagreeing_oracle_reports_the_closed_form_over_the_sweep(monkeypatch
     result = CliRunner().invoke(cli.main, ["oracle", "-"], input=doc)
     assert result.exit_code == 4
     assert "closed form over the sign-pattern sweep: (0, 0, 0)" in result.output
+
+
+def _flip_one_bit(line_masks, weight):
+    """The enumerator with bad_plus bit 1 flipped at one weight."""
+    def flipped(bott, divisor, lo, hi):
+        for prefix, masks in line_masks(bott, divisor, lo, hi):
+            if prefix == weight[:-1] and lo[-1] <= weight[-1] <= hi[-1]:
+                masks = list(masks)
+                plus, minus = masks[weight[-1] - lo[-1]]
+                masks[weight[-1] - lo[-1]] = (plus ^ 1, minus)
+            yield prefix, masks
+    return flipped
+
+
+def test_first_mismatch_names_a_weight_whose_line_masks_are_wrong(monkeypatch):
+    # the scan and first_mismatch read the same wrong masks, so every
+    # per-weight rule agrees with the others; only _sign_masks tells
+    doc = json.dumps({"cartan": {"type": "A", "rank": 2}, "word": [1, 2], "divisor": [2, 1]})
+    flipped = _flip_one_bit(_line_masks, (-1, 0))
+    monkeypatch.setattr(toric, "_line_masks", flipped)
+    monkeypatch.setattr(analysis, "_line_masks", flipped)
+    out = run_oracle(load_problem(doc))
+    assert out["agree"] is False
+    assert out["first_mismatch"] == {"weight": [-1, 0], "line_masks": [1, 0], "sign_masks": [0, 0]}
+    result = CliRunner().invoke(cli.main, ["oracle", "-"], input=doc)
+    assert result.exit_code == 4
+    assert "first failing weight: (-1, 0)" in result.output
+    assert "line masks: (1, 0)" in result.output

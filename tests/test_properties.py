@@ -383,18 +383,6 @@ json_documents = st.recursive(
 )
 
 
-@PROPERTY
-@given(json_documents)
-@example({})
-@example([])
-@example(())
-@example({"empty": [{}, [], ()], "flags": [True, False, None, 0, 1]})
-@example(EDGE_INTS)
-@example({text: text for text in EDGE_TEXT})
-def test_report_json_equals_json_dumps_of_stringified_ints(doc):
-    expected = json.dumps(_stringify_big_ints(doc), sort_keys=True, indent=2)
-    assert report_json(doc) == expected
-
 
 
 class _Shade(IntEnum):
@@ -404,6 +392,62 @@ class _Shade(IntEnum):
 class _LyingInt(int):
     def __repr__(self):
         return "7"
+
+
+# A list of equal-length, non-empty lists of type-int entries within
+# +-(2**63 - 1) (a Cartan matrix, beta, rays_minus) takes report_json's %d
+# row template; any other list of lists, a ragged or an empty row, a bool,
+# a float, an int subclass or an int past that range, is written item by
+# item.
+TABLE_ODDS = [True, False, 1.0, None, _LyingInt(3), _Shade.DARK, [1], ()]
+
+
+@st.composite
+def int_tables(draw):
+    """A rectangular int table, sometimes spoiled by one row or entry."""
+    width = draw(st.integers(1, 4))
+    entries = st.one_of(st.integers(), st.sampled_from(EDGE_INTS))
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width),
+                         min_size=1, max_size=5))
+    spoil = draw(st.sampled_from(["none"] * 3 + ["ragged", "empty", "odd", "tuple"]))
+    row = draw(st.sampled_from(rows))
+    if spoil == "ragged":
+        row.append(draw(entries))
+    elif spoil == "empty":
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    elif spoil == "odd":
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(TABLE_ODDS))
+    elif spoil == "tuple":
+        rows[rows.index(row)] = tuple(row)
+    return {"beta": rows, "dimension": len(rows)} if draw(st.booleans()) else rows
+
+
+@PROPERTY
+@given(st.one_of(json_documents, int_tables()))
+@example({})
+@example([])
+@example(())
+@example({"empty": [{}, [], ()], "flags": [True, False, None, 0, 1]})
+@example(EDGE_INTS)
+@example({text: text for text in EDGE_TEXT})
+@example([[1, 2], [3]])
+@example([[1], [2, 3], [4, 5, 6]])
+@example([[1, 2], []])
+@example([[], [1]])
+@example([[5]])
+@example([[(i * 61 + j) % 17 - 8 for j in range(60)] for i in range(60)])
+@example([[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
+@example([[INT64_MAX, -INT64_MAX], [0, 1]])
+@example([[0, 1], [INT64_MAX + 1, 0]])
+@example([[0, 1], [0, -INT64_MAX - 1]])
+@example([[2**70]])
+@example([[1, 1], [True, 1]])
+@example([[1, 1], [1, 1.0]])
+@example([[1, 1], [_LyingInt(3), 1]])
+def test_report_json_equals_json_dumps_of_stringified_ints(doc):
+    expected = json.dumps(_stringify_big_ints(doc), sort_keys=True, indent=2)
+    assert report_json(doc) == expected
+
 
 
 # Scan-shaped records reach report_json's per-conclusion writer only when a
@@ -545,6 +589,12 @@ def flat_row_documents(draw):
 @example([{"i": 1, "j": 2}, {"i": 1, "j": 2, "min": 0}])
 @example([{"i": 1, "j": 2}, {"i": 1}])
 @example([{"k": 1}, {"k": None}, {"k": False}])
+# int-only rows take the %d template, up to +-(2**63 - 1)
+@example([{"i": INT64_MAX, "j": -INT64_MAX}, {"i": 0, "j": 10**18}])
+@example([{"i": 0, "j": 1}, {"i": INT64_MAX + 1, "j": 1}])
+@example([{"i": 0, "j": 1}, {"i": 1, "j": -INT64_MAX - 1}])
+@example([{"i": 0, "j": 2**70}, {"i": 0, "j": 1}])
+@example([{"i": 1, "j": 2}, {"i": True, "j": 2}])
 def test_report_json_of_flat_rows_equals_json_dumps(doc):
     expected = json.dumps(_stringify_big_ints(doc), sort_keys=True, indent=2)
     assert report_json(doc) == expected
