@@ -6,7 +6,8 @@ the toric table from it against the per-weight scan, the per-weight
 masks and the closed form against phi from the beta formula, Serre
 duality of the toric table, and the corner weights inside the weight
 box, over finite, affine and indefinite matrices; and report_json
-against json.dumps, on any document and on scan records and flat rows.
+against json.dumps, on any document and on int tables, scan records and
+flat rows.
 
 Derandomized, so the examples are the same on every run.
 """
@@ -381,8 +382,6 @@ json_documents = st.recursive(
     ),
     max_leaves=30,
 )
-
-
 
 
 class _Shade(IntEnum):
