@@ -200,9 +200,6 @@ def load_problem(text: str) -> ProblemSpec:
     return parse_problem(doc)
 
 
-_SORTED_READ = 32
-
-
 def _alpha_summary(bott: BottData) -> dict:
     """Fan data plus the exact range of alpha_ij^eps over interior signs.
 
@@ -213,13 +210,11 @@ def _alpha_summary(bott: BottData) -> dict:
     condition sweep reads too): for each i, keep the direction numbers
     reachable from top[i-1], the number of beta_i^vee, as a set and a list
     of the same members; at step j read the min and max of coef[l_j] over
-    the list, add turn[l_j] of every member to the set, and rebuild the
-    list only when the set grew. The reach at step j lies inside D_{j-1},
-    where coef and turn are filled, so the reads are exact for any
-    generalized Cartan matrix, and in finite type it never holds more than
-    the roots. A reach of fewer than _SORTED_READ members, a handful on
-    most towers, has both ends read by one sorted call, which costs less
-    than a list, min and max there; past that, sorting costs more.
+    the list, both ends of one sorted call, add turn[l_j] of every member
+    to the set, and rebuild the list only when the set grew. The reach at
+    step j lies inside D_{j-1}, where coef and turn are filled, so the
+    reads are exact for any generalized Cartan matrix, and in finite type
+    it never holds more than the roots.
     """
     plan, letters, n = bott.plan, bott.word.letters, bott.length
     coef = [plan.coef[l].__getitem__ for l in letters]
@@ -229,13 +224,8 @@ def _alpha_summary(bott: BottData) -> dict:
         reach = [plan.top[i - 1]]
         seen = set(reach)
         for j in range(i + 1, n + 1):
-            if len(reach) < _SORTED_READ:
-                values = sorted(map(coef[j - 1], reach))
-                low, high = values[0], values[-1]
-            else:
-                values = list(map(coef[j - 1], reach))
-                low, high = min(values), max(values)
-            pairs.append({"i": i, "j": j, "min": low, "max": high})
+            values = sorted(map(coef[j - 1], reach))
+            pairs.append({"i": i, "j": j, "min": values[0], "max": values[-1]})
             seen.update(map(turn[j - 1], reach))
             if len(seen) != len(reach):
                 reach = list(seen)
