@@ -32,6 +32,7 @@ from .errors import (
     InconsistentData,
     IndexOutOfRange,
     NonSquare,
+    NotAnInteger,
     NotInPicardBasis,
     NotStrictlyIncreasing,
     PositiveOffDiagonal,
@@ -103,6 +104,7 @@ __all__ = [
     "InconsistentData",
     "IndexOutOfRange",
     "NonSquare",
+    "NotAnInteger",
     "NotInPicardBasis",
     "NotStrictlyIncreasing",
     "PositiveOffDiagonal",

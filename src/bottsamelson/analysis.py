@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from .bott import BottData, Word, _line_masks, _sign_masks, build_bott_data
 from .cech import _cech_pattern_dims, cech_table
-from .errors import BottSamelsonError, BoxTooLarge
+from .errors import BottSamelsonError, BoxTooLarge, _int, _ints
 from .rootsystem import GeneralizedCartanMatrix, _family_minimum, cartan_of_type, validate_gcm
 from .simplicial import _demazure_pattern
 from .toric import (
@@ -64,7 +64,7 @@ POSITIVITY_NOTE = (
 
 
 class ProblemError(BottSamelsonError):
-    """Raised when a problem document cannot be parsed or validated."""
+    """Raised when a problem document's JSON or structure is wrong."""
 
 
 @dataclass(frozen=True)
@@ -101,17 +101,6 @@ class ProblemSpec:
         return doc
 
 
-def _int_list(value, what: str) -> Tuple[int, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ProblemError(f"{what} must be a list of integers")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ProblemError(f"{what} must contain integers, got {v!r}")
-        out.append(v)
-    return tuple(out)
-
-
 def parse_problem(doc: dict) -> ProblemSpec:
     """Validate a problem document into a ProblemSpec."""
     if not isinstance(doc, dict):
@@ -131,9 +120,9 @@ def parse_problem(doc: dict) -> ProblemSpec:
             raise ProblemError("'cartan' takes either a matrix or a type and rank, not both")
     if isinstance(cartan, dict) and "type" in cartan:
         family = cartan.get("type")
-        rank = cartan.get("rank")
-        if not isinstance(family, str) or isinstance(rank, bool) or not isinstance(rank, int):
-            raise ProblemError("'cartan' with a type needs string 'type' and integer 'rank'")
+        if not isinstance(family, str):
+            raise ProblemError("'cartan' with a type needs a string 'type'")
+        rank = _int(cartan.get("rank"), "'cartan' rank")
         _family_minimum(family.upper())  # a family refused at any rank is named first
         entries = rank * rank
         if rank > 0 and entries > DEFAULT_BOX_CAP:
@@ -146,12 +135,12 @@ def parse_problem(doc: dict) -> ProblemSpec:
         matrix = cartan.get("matrix") if isinstance(cartan, dict) else cartan
         if not isinstance(matrix, list):
             raise ProblemError("'cartan' must give a type and rank or an explicit matrix")
-        gcm = validate_gcm([_int_list(row, "cartan matrix row") for row in matrix])
+        gcm = validate_gcm(matrix)
 
     word_entry = doc.get("word")
     if word_entry is None:
         raise ProblemError("problem document needs a 'word' entry")
-    word = Word(_int_list(word_entry, "word"))
+    word = Word(word_entry)
     n = len(word.letters)
 
     a = b = None
@@ -161,10 +150,10 @@ def parse_problem(doc: dict) -> ProblemSpec:
             extra = set(divisor) - {"a", "b"}
             if extra:
                 raise ProblemError(f"unknown divisor keys: {sorted(extra)}")
-            a = _int_list(divisor.get("a", ()), "divisor a")
-            b = _int_list(divisor["b"], "divisor b") if "b" in divisor else (0,) * len(a)
+            a = _ints(divisor.get("a", ()), "divisor a")
+            b = _ints(divisor["b"], "divisor b") if "b" in divisor else (0,) * len(a)
         else:
-            a = _int_list(divisor, "divisor")
+            a = _ints(divisor, "divisor")
             b = (0,) * len(a)
         if len(a) != n or len(b) != n:
             raise ProblemError(
@@ -178,7 +167,7 @@ def parse_problem(doc: dict) -> ProblemSpec:
             raise ProblemError("'scan' must list one [lo, hi] range per word position")
         pairs = []
         for k, pair in enumerate(raw, start=1):
-            bounds = _int_list(pair, f"scan range {k}")
+            bounds = _ints(pair, f"scan range {k}")
             if len(bounds) != 2 or bounds[0] > bounds[1]:
                 raise ProblemError(f"scan range {k} must be [lo, hi] with lo <= hi")
             pairs.append((bounds[0], bounds[1]))

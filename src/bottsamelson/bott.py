@@ -27,7 +27,7 @@ from itertools import combinations, product
 from operator import mul
 from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .errors import IndexOutOfRange, NotStrictlyIncreasing
+from .errors import IndexOutOfRange, NotStrictlyIncreasing, _int, _ints
 from .rootsystem import GeneralizedCartanMatrix
 
 if TYPE_CHECKING:
@@ -45,7 +45,7 @@ class Word:
     letters: Tuple[int, ...]
 
     def __post_init__(self):
-        letters = tuple(int(l) for l in self.letters)
+        letters = _ints(self.letters, "word")
         object.__setattr__(self, "letters", letters)
         if not letters:
             raise IndexOutOfRange("word length", 0, ">= 1")
@@ -78,7 +78,7 @@ class BottData:
     def ray(self, ray: Ray) -> Tuple[int, ...]:
         """Lattice vector of e_i^+ or e_i^-."""
         i, s = ray
-        _check_position(self, i)
+        i = _check_position(self, i)
         return self.rays_plus[i - 1] if s > 0 else self.rays_minus[i - 1]
 
     @cached_property
@@ -95,7 +95,7 @@ def build_bott_data(gcm: GeneralizedCartanMatrix, word) -> BottData:
     word may be a Word or any sequence of 1-based letters; letters must not
     exceed the rank of the Cartan matrix.
     """
-    w = word if isinstance(word, Word) else Word(tuple(word))
+    w = word if isinstance(word, Word) else Word(word)
     for pos, l in enumerate(w.letters, start=1):
         if l > gcm.n:
             raise IndexOutOfRange(f"word letter at position {pos}", l, f"1..{gcm.n}")
@@ -192,20 +192,19 @@ def signs(pattern: str) -> SignVector:
 def all_sign_vectors(N: int) -> Tuple[SignVector, ...]:
     """All 2^N sign vectors in a fixed deterministic order (+ before -)."""
     out = [()]
-    for _ in range(N):
+    for _ in range(_int(N, "sign vector length")):
         out = [v + (s,) for v in out for s in (1, -1)]
     return tuple(out)
 
 
-def _check_position(bott: BottData, i: int) -> None:
-    if not 1 <= i <= bott.length:
+def _check_position(bott: BottData, i: int) -> int:
+    if not 1 <= (i := _int(i, "position")) <= bott.length:
         raise IndexOutOfRange("position", i, f"1..{bott.length}")
+    return i
 
 
 def _check_signs(bott: BottData, eps: Sequence[int]) -> SignVector:
-    e = tuple(int(s) for s in eps)
-    if len(e) != bott.length:
-        raise IndexOutOfRange("sign vector of length", len(e), bott.length)
+    e = _ints(eps, "sign", bott.length)
     for pos, s in enumerate(e, start=1):
         if s not in (1, -1):
             raise IndexOutOfRange(f"sign at position {pos}", s, "+1 or -1")
@@ -213,10 +212,7 @@ def _check_signs(bott: BottData, eps: Sequence[int]) -> SignVector:
 
 
 def _check_coeffs(bott: BottData, a: Sequence[int], what: str = "coefficient") -> Tuple[int, ...]:
-    c = tuple(int(v) for v in a)
-    if len(c) != bott.length:
-        raise IndexOutOfRange(f"{what} vector of length", len(c), bott.length)
-    return c
+    return _ints(a, what, bott.length)
 
 
 def _check_divisor(bott: BottData, divisor: "ToricDivisor") -> None:
@@ -265,8 +261,7 @@ def alpha_path(bott: BottData, i: int, j: int, eps: Sequence[int]) -> int:
 def _interior_minus(bott: BottData, i: int, j: int, eps: Sequence[int]) -> Tuple[int, ...]:
     """The increasing positions k in (i, j) with eps_k = -1, after checking
     that i < j are positions and eps is a sign vector of the tower."""
-    _check_position(bott, i)
-    _check_position(bott, j)
+    i, j = _check_position(bott, i), _check_position(bott, j)
     if i >= j:
         raise NotStrictlyIncreasing(i, j)
     e = _check_signs(bott, eps)
@@ -292,7 +287,7 @@ def big_c(bott: BottData, a: Sequence[int], i: int, eps: Sequence[int]) -> int:
 
     Depends only on the suffix eps_{i+1}, ..., eps_N of the sign vector.
     """
-    _check_position(bott, i)
+    i = _check_position(bott, i)
     coeffs = _check_coeffs(bott, a)
     e = _check_signs(bott, eps)
     total = coeffs[i - 1]
@@ -358,7 +353,7 @@ def phi(bott: BottData, divisor: "ToricDivisor", m: Sequence[int], ray: Ray) -> 
     _check_divisor(bott, divisor)
     w = _check_coeffs(bott, m, "weight")
     i, s = ray
-    if s not in (1, -1):
+    if _int(s, "ray sign") not in (1, -1):
         raise IndexOutOfRange("ray sign", s, "+1 or -1")
     coeff = divisor.a if s == 1 else divisor.b
     return sum(map(mul, w, bott.ray(ray))) + coeff[i - 1]

@@ -6,6 +6,8 @@ the public API.
 
 from __future__ import annotations
 
+from operator import index
+
 
 class BottSamelsonError(ValueError):
     """Base class for all validation and capacity errors."""
@@ -57,6 +59,33 @@ class UnsupportedFamily(BottSamelsonError):
 class IndexOutOfRange(BottSamelsonError):
     def __init__(self, what: str, i, bound):
         super().__init__(f"{what} index {i} out of range {bound}")
+
+
+class NotAnInteger(BottSamelsonError):
+    """A value that must be an integer is a float, a string, a bool, None
+    or another non-integer; it is refused, never rounded or parsed."""
+
+
+def _int(value, what: str) -> int:
+    """value as a plain int: any integer type but bool passes through
+    operator.index (IntEnum members, numpy ints), anything else raises."""
+    try:
+        if not isinstance(value, bool):
+            return index(value)
+    except TypeError:
+        pass
+    raise NotAnInteger(f"{what} must be an integer, got {value!r}")
+
+
+def _ints(values, what: str, length: int | None = None) -> tuple[int, ...]:
+    """values as a tuple of _int entries; a str, bytes, dict or non-iterable
+    raises NotAnInteger, a length other than the given one IndexOutOfRange."""
+    if isinstance(values, (str, bytes, dict)) or not hasattr(values, "__iter__"):
+        raise NotAnInteger(f"{what} must be a list of integers")
+    out = tuple([v if v.__class__ is int else _int(v, f"{what} entry") for v in values])
+    if length is not None and len(out) != length:
+        raise IndexOutOfRange(f"{what} vector of length", len(out), length)
+    return out
 
 
 class InconsistentData(BottSamelsonError):

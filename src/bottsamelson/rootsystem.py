@@ -39,6 +39,8 @@ from .errors import (
     UnsupportedFamily,
     UnsupportedRank,
     ZeroAsymmetry,
+    _int,
+    _ints,
 )
 
 Root = Tuple[int, ...]
@@ -62,7 +64,7 @@ def validate_gcm(entries: Sequence[Sequence[int]]) -> GeneralizedCartanMatrix:
     Raises NonSquare, DiagonalNotTwo, PositiveOffDiagonal or ZeroAsymmetry
     naming the first violated axiom (indices 1-based, row-major scan).
     """
-    rows = [tuple(int(v) for v in row) for row in entries]
+    rows = [_ints(row, "cartan matrix row") for row in entries]
     n = len(rows)
     if n == 0:
         raise NonSquare(0, 1, 0)
@@ -94,6 +96,7 @@ def cartan_of_type(family: str, rank: int) -> GeneralizedCartanMatrix:
     for B and C, 3 for D) raises UnsupportedRank.
     """
     family = family.upper()
+    rank = _int(rank, "rank")
     minimum = _family_minimum(family)
     if rank < minimum:
         raise UnsupportedRank(family, rank, minimum)
@@ -123,36 +126,30 @@ def _family_minimum(family: str) -> int:
     return minimum
 
 
-def _check_index(gcm: GeneralizedCartanMatrix, i: int) -> None:
-    if not 1 <= i <= gcm.n:
+def _check_index(gcm: GeneralizedCartanMatrix, i: int) -> int:
+    if not 1 <= (i := _int(i, "simple root index")) <= gcm.n:
         raise IndexOutOfRange("simple root", i, f"1..{gcm.n}")
-
-
-def _check_root(gcm: GeneralizedCartanMatrix, gamma: Sequence[int]) -> Root:
-    g = tuple(int(c) for c in gamma)
-    if len(g) != gcm.n:
-        raise IndexOutOfRange("root coefficient vector of length", len(g), gcm.n)
-    return g
+    return i
 
 
 def simple_root(gcm: GeneralizedCartanMatrix, i: int) -> Root:
     """The i-th simple root as a coefficient vector (1-based)."""
-    _check_index(gcm, i)
+    i = _check_index(gcm, i)
     return tuple(1 if j == i else 0 for j in range(1, gcm.n + 1))
 
 
 def pairing(gcm: GeneralizedCartanMatrix, i: int, gamma: Sequence[int]) -> int:
     """<alpha_i^vee, gamma> = sum_j a_ij gamma_j for a root vector gamma."""
-    _check_index(gcm, i)
-    g = _check_root(gcm, gamma)
+    i = _check_index(gcm, i)
+    g = _ints(gamma, "root coefficient", gcm.n)
     row = gcm.entries[i - 1]
     return sum(row[j] * g[j] for j in range(gcm.n))
 
 
 def reflect(gcm: GeneralizedCartanMatrix, i: int, gamma: Sequence[int]) -> Root:
     """Apply the simple reflection s_i to the root vector gamma."""
-    _check_index(gcm, i)
-    g = _check_root(gcm, gamma)
+    i = _check_index(gcm, i)
+    g = _ints(gamma, "root coefficient", gcm.n)
     p = pairing(gcm, i, g)
     return tuple(c - p if j == i - 1 else c for j, c in enumerate(g))
 

@@ -39,7 +39,7 @@ from .bott import (
     _sign_pattern_counts,
     _weight_masks,
 )
-from .errors import BoxTooLarge, InconsistentData, IndexOutOfRange
+from .errors import BoxTooLarge, InconsistentData, _ints
 from .simplicial import CohomologyDims, _demazure_pattern
 
 ALL_ZERO = "all_zero"
@@ -58,17 +58,14 @@ class ToricDivisor:
     b: Tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(int(v) for v in self.a)
-        b = tuple(int(v) for v in self.b)
+        a = _ints(self.a, "upper-ray coefficient")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if len(a) != len(b):
-            raise IndexOutOfRange("lower-ray coefficient vector of length", len(b), len(a))
+        object.__setattr__(self, "b", _ints(self.b, "lower-ray coefficient", len(a)))
 
     @classmethod
     def upper(cls, a: Sequence[int]) -> "ToricDivisor":
         """Divisor sum a_i Z_i supported on the upper rays only (b = 0)."""
-        a = tuple(int(v) for v in a)
+        a = tuple(a)
         return cls(a=a, b=(0,) * len(a))
 
     def serre_dual(self) -> "ToricDivisor":
@@ -117,9 +114,10 @@ class WeightBox:
     hi: Tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.lo) != len(self.hi):
-            raise IndexOutOfRange("upper box bound vector of length", len(self.hi), len(self.lo))
-        for l, h in zip(self.lo, self.hi):
+        lo = _ints(self.lo, "lower box bound")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", _ints(self.hi, "upper box bound", len(lo)))
+        for l, h in zip(lo, self.hi):
             if l > h:
                 raise InconsistentData(f"inverted interval [{l}, {h}]")
 

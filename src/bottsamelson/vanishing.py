@@ -53,7 +53,7 @@ from itertools import product
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bott import BottData, _check_coeffs
-from .errors import InconsistentData, IndexOutOfRange, NotInPicardBasis, VanishingContradiction
+from .errors import InconsistentData, IndexOutOfRange, NotInPicardBasis, VanishingContradiction, _ints
 from .toric import CohomologyTable, DEFAULT_BOX_CAP, ToricDivisor, cohomology_table
 
 Eta = Tuple[int, ...]
@@ -377,7 +377,7 @@ def check_toric_vanishing(
     """
     a = _upper_coeffs(bott, divisor)
     profile = _vanishing_report(bott, a).profile
-    e = tuple(int(s) for s in eta)
+    e = _ints(eta, "certificate")
     if not is_admissible(profile, e):
         raise InconsistentData(f"certificate {e} is not admissible for this divisor")
     cert = VanishingCertificate(eta=e)

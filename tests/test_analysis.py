@@ -66,6 +66,10 @@ def test_parse_rejects_malformed_documents():
         {**base, "divisor": [True]},
         {**base, "word": []},
         {**base, "word": [1.5]},
+        {**base, "word": ["1"]},
+        {**base, "cartan": [[True]]},
+        {**base, "divisor": {"a": [0], "b": [0.5]}},
+        {**base, "scan": [[0, 1.5]]},
         {**base, "cartan": {"type": "A"}},
         {**base, "cartan": {"rank": 2}},
         {**base, "cartan": {"matrix": [[2]], "type": "A", "rank": 1}},

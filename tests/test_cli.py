@@ -244,6 +244,18 @@ def _assert_input_error(result):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("doc", [
+    {"cartan": [[2]], "word": ["1"], "divisor": [0]},
+    {"cartan": [[True]], "word": [1], "divisor": [0]},
+    {"cartan": [[2]], "word": [1], "scan": [[0, 1.5]]},
+    {"cartan": [[2]], "word": [1], "divisor": {"a": [0], "b": [0.5]}},
+    {"cartan": [[2]], "word": [1], "divisor": "nope"},
+])
+def test_non_integer_document_entries_are_input_errors(doc):
+    command = "scan" if "scan" in doc else "analyze"
+    _assert_input_error(run([command, "-"], stdin=json.dumps(doc)))
+
+
 def test_deeply_nested_document_is_an_input_error():
     _assert_input_error(run(["analyze", "-"], stdin="[" * 100_000))
 
