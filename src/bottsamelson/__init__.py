@@ -32,6 +32,7 @@ from .errors import (
     InconsistentData,
     IndexOutOfRange,
     NonSquare,
+    NotADivisor,
     NotAnInteger,
     NotInPicardBasis,
     NotStrictlyIncreasing,
@@ -104,6 +105,7 @@ __all__ = [
     "InconsistentData",
     "IndexOutOfRange",
     "NonSquare",
+    "NotADivisor",
     "NotAnInteger",
     "NotInPicardBasis",
     "NotStrictlyIncreasing",

@@ -195,29 +195,28 @@ def _alpha_summary(bott: BottData) -> dict:
     alpha_ij^eps is the value at alpha_{l_j} of the coroot functional
     s_{l_{j-1}}^eps ... s_{l_{i+1}}^eps (beta_i^vee), where s_{l_k}^eps is
     s_{l_k} for eps_k = - and the identity for eps_k = +. So every range is
-    a read of the tower's direction plan (BottData.plan, which the
-    condition sweep reads too): for each i, keep the direction numbers
-    reachable from top[i-1], the number of beta_i^vee, as a set and a list
-    of the same members; at step j read the min and max of coef[l_j] over
-    the list, both ends of one sorted call, add turn[l_j] of every member
-    to the set, and rebuild the list only when the set grew. The reach at
-    step j lies inside D_{j-1}, where coef and turn are filled, so the
-    reads are exact for any generalized Cartan matrix, and in finite type
-    it never holds more than the roots.
+    a read of the tower's directions: for each i, keep the reach, the set
+    of directions reachable from beta_i^vee, as a frozenset of numbers of
+    the tower's shared table (BottData.plan.table, see bott._Directions);
+    at step j take the min and max of f_{l_j} over the reach and join the
+    reach with its image under s_{l_j}. Each step is one lookup in the
+    table's memo, shared by every tower over the same matrix and letters;
+    on a miss, the step reads the reach's members (a list for the values,
+    a set for the join) and stores the result if the reach is small. The
+    reach at step j lies inside D_{j-1}, which the tower's plan has
+    reflected by l_j, so the reads are exact for any generalized Cartan
+    matrix, and in finite type a reach never holds more than the roots.
+    The memo is safe to read while other threads build towers.
     """
-    plan, letters, n = bott.plan, bott.word.letters, bott.length
-    coef = [plan.coef[l].__getitem__ for l in letters]
-    turn = [plan.turn[l].__getitem__ for l in letters]
+    table, letters, n = bott.plan.table, bott.word.letters, bott.length
+    steps = [(l, table.memo[l].get) for l in letters]
     pairs = []
     for i in range(1, n):
-        reach = [plan.top[i - 1]]
-        seen = set(reach)
+        reach = table.start[letters[i - 1]]
         for j in range(i + 1, n + 1):
-            values = sorted(map(coef[j - 1], reach))
-            pairs.append({"i": i, "j": j, "min": values[0], "max": values[-1]})
-            seen.update(map(turn[j - 1], reach))
-            if len(seen) != len(reach):
-                reach = list(seen)
+            l, get = steps[j - 1]
+            lo, hi, reach = get(reach) or table.step(l, reach)
+            pairs.append({"i": i, "j": j, "min": lo, "max": hi})
     return {
         "dimension": n,
         "beta": [list(row) for row in bott.beta],

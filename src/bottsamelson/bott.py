@@ -20,6 +20,7 @@ Positions i, j are 1-based; sign vectors are tuples of +1/-1.
 
 from __future__ import annotations
 
+from _thread import allocate_lock
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +28,7 @@ from itertools import combinations, product
 from operator import mul
 from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .errors import IndexOutOfRange, NotStrictlyIncreasing, _int, _ints
+from .errors import IndexOutOfRange, NotADivisor, NotAnInteger, NotStrictlyIncreasing, _int, _ints
 from .rootsystem import GeneralizedCartanMatrix
 
 if TYPE_CHECKING:
@@ -123,14 +124,18 @@ class _Plan(NamedTuple):
     Direction f is a coroot functional lambda -> <gamma, lambda>, stored as
     its values f_k = <gamma, alpha_k> on the simple roots of the word's
     letters (every vector either reader pairs lies in their span), and
-    numbered in the order it is found. D_i, the directions found by step i,
-    is the first |D_i| of them. Per 0-based position p: size[p] = |D_{p+1}|,
-    and top[p] and bottom[p] are the numbers of A[l_{p+1}] = beta_{p+1}^vee
-    and -A[l_{p+1}], whose support values in the condition sweep are the
-    max and -min of <beta_{p+1}^vee, lambda>. Per letter l, for direction
-    d: coef[l][d] = f_l, the value at alpha_l, and turn[l][d] is the number
-    of s_l f = f - f_l A[l]. A step i of letter l fills both over D_{i-1},
-    so they hold every direction that a reader reaches before step i.
+    numbered in the order the tower finds it. D_i, the directions found by
+    step i, is the first |D_i| of them. Per 0-based position p: size[p] =
+    |D_{p+1}|, and top[p] and bottom[p] are the numbers of A[l_{p+1}] =
+    beta_{p+1}^vee and -A[l_{p+1}], whose support values in the condition
+    sweep are the max and -min of <beta_{p+1}^vee, lambda>. Per letter l,
+    for direction d: coef[l][d] = f_l, the value at alpha_l, and turn[l][d]
+    is the number of s_l f = f - f_l A[l]. A step i of letter l fills both
+    over D_{i-1}, so they hold every direction that a reader reaches before
+    step i. table is the _Directions the tower was built from, shared with
+    every tower over the same matrix and letters and safe to share between
+    threads; the alpha summary reads its numbering and memo. The plan's
+    own lists are written only while it is built.
     """
 
     size: List[int]
@@ -138,6 +143,109 @@ class _Plan(NamedTuple):
     bottom: List[int]
     coef: Dict[int, List[int]]
     turn: Dict[int, List[int]]
+    table: "_Directions"
+
+
+# Bounds of the shared direction tables, so a long-lived process holds a
+# fixed amount: at most _TABLES tables stay cached, the least recently used
+# leaving first; a table with more than _TABLE_DIRECTIONS directions leaves
+# the cache once the tower that grew it is built; and each alpha memo keeps
+# the steps of reaches of at most _MEMO_REACH members, _MEMO_ELEMENTS
+# members in all.
+_TABLES = 16
+_TABLE_DIRECTIONS = 4096
+_MEMO_REACH = 32
+_MEMO_ELEMENTS = 16384
+
+_tables: Dict[Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]], "_Directions"] = {}
+_tables_lock = allocate_lock()
+
+
+class _Directions:
+    """The coroot directions of one Cartan matrix over one set of letters,
+    shared by every tower over them (_direction_plan, _directions). key is
+    the letters in increasing order and rows[l], row l of the matrix on
+    those letters' columns, for each: the directions depend on nothing else.
+
+    Direction g is the tuple vectors[g], in the coordinates of _Plan: its
+    values on the simple roots of the letters, in increasing letter order,
+    so f_l is vectors[g][column[l]]. Per letter l, turn[l][g] is the number
+    of s_l f, or -1 while no tower has reflected it; a direction that l
+    fixes has turn g from the start. ends[l] holds the numbers of A[l] and
+    -A[l], and start[l] the reach {A[l]} that the alpha summary begins with
+    at a position of letter l.
+
+    memo[l] maps a reach (a frozenset of direction numbers) to one alpha
+    summary step: the min and max of f_l over the reach, and the reach
+    joined with its image under s_l (step). Each stored reach is a key of
+    its own, so a warm summary costs one dict lookup per pair. Only
+    reaches of at most _MEMO_REACH members are stored, and no more than
+    _MEMO_ELEMENTS members in all.
+
+    Thread safety: lock serialises every write. _direction_plan holds it
+    while it builds a tower, and step while it stores a memo entry. A
+    direction, a filled turn entry and a stored memo entry never change,
+    so the alpha summary reads them without it. Towers built and read in
+    several threads over one matrix therefore share one table safely.
+    """
+
+    __slots__ = ("key", "rows", "column", "vectors", "number", "turn", "ends", "start",
+                 "memo", "stored", "lock")
+
+    def __init__(self, key: Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]):
+        keys, rows = key
+        self.key = key
+        self.rows = dict(zip(keys, rows))
+        self.vectors: List[Tuple[int, ...]] = []
+        self.number: Dict[Tuple[int, ...], int] = {}
+        self.column = {l: k for k, l in enumerate(keys)}
+        self.turn: Dict[int, List[int]] = {l: [] for l in keys}
+        self.memo: Dict[int, dict] = {l: {} for l in keys}
+        self.stored = 0
+        self.lock = allocate_lock()
+        self.ends = {
+            l: (self.add(row), self.add(tuple([-x for x in row]))) for l, row in self.rows.items()
+        }
+        self.start = {l: frozenset((top,)) for l, (top, _) in self.ends.items()}
+
+    def add(self, f: Tuple[int, ...]) -> int:
+        """The number of direction f, numbering it next if it is new."""
+        g = self.number.setdefault(f, len(self.vectors))
+        if g == len(self.vectors):
+            self.vectors.append(f)
+            for turn, c in zip(self.turn.values(), f):
+                turn.append(-1 if c else g)
+        return g
+
+    def step(self, l: int, reach: frozenset) -> Tuple[int, int, frozenset]:
+        """One alpha summary step of letter l from a reach of directions that
+        l has reflected, read off the reach's members and stored in memo[l]
+        if the reach is small and the memo has room."""
+        vectors, at = self.vectors, self.column[l]
+        values = [vectors[g][at] for g in reach]
+        grown = reach.union(map(self.turn[l].__getitem__, reach))
+        out = (min(values), max(values), reach if len(grown) == len(reach) else grown)
+        if len(reach) <= _MEMO_REACH:
+            with self.lock:
+                memo = self.memo[l]
+                if reach not in memo and self.stored + len(reach) <= _MEMO_ELEMENTS:
+                    memo[reach] = out
+                    self.stored += len(reach)
+        return out
+
+
+def _directions(gcm: GeneralizedCartanMatrix, keys: Tuple[int, ...]) -> _Directions:
+    """The cached table of the letters keys of gcm, made fresh when there is
+    none; it becomes the most recently used, and the least recently used
+    past _TABLES leaves the cache."""
+    entries = gcm.entries
+    key = (keys, tuple([tuple([entries[l - 1][k - 1] for k in keys]) for l in keys]))
+    with _tables_lock:
+        table = _tables.pop(key, None) or _Directions(key)
+        _tables[key] = table
+        if len(_tables) > _TABLES:
+            del _tables[next(iter(_tables))]
+    return table
 
 
 def _direction_plan(bott: BottData) -> _Plan:
@@ -149,39 +257,64 @@ def _direction_plan(bott: BottData) -> _Plan:
     found since its previous step. Read it through BottData.plan, which
     builds it once per tower.
 
-    A direction gets the next number when number.setdefault first sees it,
-    and directions[k] is the direction numbered k."""
-    gcm, letters = bott.gcm, bott.word.letters
-    keys = sorted(set(letters))
-    column = {l: k for k, l in enumerate(keys)}
-    rows = {l: tuple([gcm.entries[l - 1][k - 1] for k in keys]) for l in keys}
-    negated = {l: tuple([-x for x in row]) for l, row in rows.items()}
-    directions: List[Tuple[int, ...]] = []
-    number: Dict[Tuple[int, ...], int] = {}
-    plan = _Plan([], [], [], {l: [] for l in keys}, {l: [] for l in keys})
-    for l in letters:
-        row, coef, turn, at = rows[l], plan.coef[l], plan.turn[l], column[l]
-        for j in range(len(coef), len(directions)):
-            f = directions[j]
-            c = f[at]
-            coef.append(c)
-            if c:  # else s_l f = f, number j
-                f = tuple([x - c * y for x, y in zip(f, row)])
-                j = number.setdefault(f, len(directions))
-                if j == len(directions):
-                    directions.append(f)
-            turn.append(j)
-        for f, ends in ((row, plan.top), (negated[l], plan.bottom)):
-            j = number.setdefault(f, len(directions))
-            if j == len(directions):
-                directions.append(f)
-            ends.append(j)
-        plan.size.append(len(directions))
+    The pass runs on the shared table of the tower's matrix and letters
+    (_directions): ids[d] is the table number of the tower's direction d,
+    and local[g] the tower's number of table direction g, or -1 until the
+    tower finds it. A reflection the table holds is a list read; only one
+    that no tower has made yet builds a tuple, and its image under the same
+    letter is recorded too, since s_l is an involution. A tower that fills
+    a fresh table numbers its directions as the table does, and then
+    reuses the table's int objects. A table that has grown past
+    _TABLE_DIRECTIONS leaves the cache when the pass ends, so the next
+    tower over that matrix starts a fresh one; the tower keeps it. The pass
+    holds the table's lock, so threads may build towers over one matrix
+    at the same time.
+    """
+    letters = bott.word.letters
+    keys = tuple(sorted(set(letters)))
+    table = _directions(bott.gcm, keys)
+    vectors, ids = table.vectors, []
+    plan = _Plan([], [], [], {l: [] for l in keys}, {l: [] for l in keys}, table)
+    with table.lock:
+        local = [-1] * len(vectors)
+        for l in letters:
+            coef, turn, row = plan.coef[l], plan.turn[l], table.rows[l]
+            at, table_turn = table.column[l], table.turn[l]
+            for j in range(len(coef), len(ids)):
+                g = ids[j]
+                c = vectors[g][at]
+                coef.append(c)
+                if c:  # else s_l f = f, number j
+                    t = table_turn[g]
+                    if t < 0:
+                        t = table_turn[g] = table.add(
+                            tuple([x - c * y for x, y in zip(vectors[g], row)]))
+                        table_turn[t] = g
+                        if t == len(local):
+                            local.append(-1)
+                    j = local[t]
+                    if j < 0:
+                        j = local[t] = t if t == len(ids) else len(ids)
+                        ids.append(t)
+                turn.append(j)
+            for g, ends in zip(table.ends[l], (plan.top, plan.bottom)):
+                j = local[g]
+                if j < 0:
+                    j = local[g] = g if g == len(ids) else len(ids)
+                    ids.append(g)
+                ends.append(j)
+            plan.size.append(len(ids))
+    if len(vectors) > _TABLE_DIRECTIONS:
+        with _tables_lock:
+            if _tables.get(table.key) is table:
+                del _tables[table.key]
     return plan
 
 
 def signs(pattern: str) -> SignVector:
     """Parse a sign string like '+-+' into a tuple of +1/-1."""
+    if not hasattr(pattern, "__iter__"):
+        raise NotAnInteger(f"sign pattern must be a string of '+' and '-', got {pattern!r}")
     table = {"+": 1, "-": -1}
     for pos, ch in enumerate(pattern, start=1):
         if ch not in table:
@@ -216,8 +349,12 @@ def _check_coeffs(bott: BottData, a: Sequence[int], what: str = "coefficient") -
 
 
 def _check_divisor(bott: BottData, divisor: "ToricDivisor") -> None:
-    if len(divisor.a) != bott.length:
-        raise IndexOutOfRange("divisor of length", len(divisor.a), bott.length)
+    try:
+        length = len(divisor.a)
+    except (AttributeError, TypeError):
+        raise NotADivisor(divisor) from None
+    if length != bott.length:
+        raise IndexOutOfRange("divisor of length", length, bott.length)
 
 
 def _alpha(bott: BottData, i: int, j: int, minus: Tuple[int, ...]) -> int:

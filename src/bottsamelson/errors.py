@@ -66,6 +66,22 @@ class NotAnInteger(BottSamelsonError):
     or another non-integer; it is refused, never rounded or parsed."""
 
 
+class NotADivisor(BottSamelsonError):
+    """A divisor argument that is not a ToricDivisor, such as a bare tuple
+    of coefficients; ToricDivisor and ToricDivisor.upper build one."""
+
+    def __init__(self, value):
+        super().__init__(f"divisor must be a ToricDivisor, got {type(value).__name__}")
+
+
+def _listed(values, what: str, of: str = "integers"):
+    """values, if it can stand for a list here: a str, bytes, dict or
+    non-iterable raises NotAnInteger."""
+    if isinstance(values, (str, bytes, dict)) or not hasattr(values, "__iter__"):
+        raise NotAnInteger(f"{what} must be a list of {of}")
+    return values
+
+
 def _int(value, what: str) -> int:
     """value as a plain int: any integer type but bool passes through
     operator.index (IntEnum members, numpy ints), anything else raises."""
@@ -80,9 +96,8 @@ def _int(value, what: str) -> int:
 def _ints(values, what: str, length: int | None = None) -> tuple[int, ...]:
     """values as a tuple of _int entries; a str, bytes, dict or non-iterable
     raises NotAnInteger, a length other than the given one IndexOutOfRange."""
-    if isinstance(values, (str, bytes, dict)) or not hasattr(values, "__iter__"):
-        raise NotAnInteger(f"{what} must be a list of integers")
-    out = tuple([v if v.__class__ is int else _int(v, f"{what} entry") for v in values])
+    out = tuple([v if v.__class__ is int else _int(v, f"{what} entry")
+                 for v in _listed(values, what)])
     if length is not None and len(out) != length:
         raise IndexOutOfRange(f"{what} vector of length", len(out), length)
     return out

@@ -15,13 +15,21 @@ the simple reflection s_i acts by
 Both sweeps of the package work on the dual side. A coroot functional
 f = <gamma, .> is stored as its values on simple roots, and s_l sends f to
 f - f(alpha_l) A[l], where A[l] is row l of the matrix, the functional of
-alpha_l^vee. The tower's direction plan (bott._direction_plan), built once
-per tower, holds the rows of the word's letters and their images under the
-letters' reflections, taken in word order; the condition sweep
-(vanishing._sweep_bounds) and the alpha summary (analysis._alpha_summary)
-both read it. When the matrix is singular, coroots that differ by an
-element of its left kernel (in affine type, a multiple of the null coroot)
-give the same functional and are stored once.
+alpha_l^vee. These functionals and reflections belong to the Weyl group
+of the matrix, not to one word, so they are stored once per matrix and
+set of letters, in a private table (bott._Directions) that every tower
+over that matrix in the process shares: it numbers each direction once,
+records each reflection s_l f as a direction number, and memoises the
+steps of the alpha summary. The table is bounded (at most 16 tables of at
+most 4,096 directions are cached) and safe to share between threads. The
+tower's direction plan (bott._direction_plan), built once per tower from
+table lookups, holds the rows of the word's letters and their images
+under the letters' reflections, taken in word order, in the tower's own
+numbering; the condition sweep (vanishing._sweep_bounds) and the alpha
+summary (analysis._alpha_summary) both read it. When the matrix is
+singular, coroots that differ by an element of its left kernel (in affine
+type, a multiple of the null coroot) give the same functional and are
+stored once.
 
 All simple-root indices in this module are 1-based.
 """
@@ -41,6 +49,7 @@ from .errors import (
     ZeroAsymmetry,
     _int,
     _ints,
+    _listed,
 )
 
 Root = Tuple[int, ...]
@@ -64,7 +73,8 @@ def validate_gcm(entries: Sequence[Sequence[int]]) -> GeneralizedCartanMatrix:
     Raises NonSquare, DiagonalNotTwo, PositiveOffDiagonal or ZeroAsymmetry
     naming the first violated axiom (indices 1-based, row-major scan).
     """
-    rows = [_ints(row, "cartan matrix row") for row in entries]
+    rows = [_ints(row, "cartan matrix row")
+            for row in _listed(entries, "cartan matrix", "integer rows")]
     n = len(rows)
     if n == 0:
         raise NonSquare(0, 1, 0)

@@ -236,7 +236,9 @@ class VanishingCertificate:
     eta: Eta
 
     def __post_init__(self):
-        for pos, s in enumerate(self.eta, start=1):
+        eta = _ints(self.eta, "sign")
+        object.__setattr__(self, "eta", eta)
+        for pos, s in enumerate(eta, start=1):
             if s not in (-1, 0, 1):
                 raise IndexOutOfRange(f"sign at position {pos}", s, "-1, 0 or +1")
 
@@ -280,6 +282,7 @@ def admissible_etas(profile: ConditionProfile) -> Iterator[Eta]:
 
 
 def is_admissible(profile: ConditionProfile, eta: Sequence[int]) -> bool:
+    eta = _ints(eta, "sign")
     if len(eta) != len(profile.plus_ok):
         return False
     for s, p, m in zip(eta, profile.plus_ok, profile.minus_ok):

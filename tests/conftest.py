@@ -6,9 +6,12 @@ deterministic run to run.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import signal
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Tuple
 
 import pytest
@@ -45,6 +48,17 @@ def random_gcm(rng: random.Random, n: int, low: int = -3, zero_chance: float = 0
             entries[i][j] = rng.randint(low, -1)
             entries[j][i] = rng.randint(low, -1)
     return GeneralizedCartanMatrix(n=n, entries=tuple(tuple(r) for r in entries))
+
+
+def bench_workloads():
+    """bench/workloads.py, the benchmark's seeded problem generator."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def random_word(rng: random.Random, n: int, length: int) -> Word:

@@ -11,8 +11,10 @@ from enum import IntEnum
 import pytest
 
 from bottsamelson import (
+    NotADivisor,
     NotAnInteger,
     ToricDivisor,
+    VanishingCertificate,
     WeightBox,
     Word,
     all_sign_vectors,
@@ -22,16 +24,20 @@ from bottsamelson import (
     cartan_of_type,
     check_toric_vanishing,
     condition_profile,
+    is_admissible,
     pairing,
     phi,
     reflect,
+    signs,
     simple_root,
     validate_gcm,
+    weight_box,
 )
 
 A3 = cartan_of_type("A", 3)
 BOTT = build_bott_data(A3, (1, 2, 3))
 ZERO = ToricDivisor.upper((0, 0, 0))
+PROFILE = condition_profile(BOTT, (0, 0, 0))
 
 # (entry point, a call that puts v in one integer slot, a valid int for it)
 ENTRY_POINTS = [
@@ -53,6 +59,8 @@ ENTRY_POINTS = [
     ("phi ray sign", lambda v: phi(BOTT, ZERO, (1, 2, 3), (1, v)), -1),
     ("phi ray position", lambda v: phi(BOTT, ZERO, (1, 2, 3), (v, -1)), 2),
     ("phi weight", lambda v: phi(BOTT, ZERO, (1, v, 3), (1, -1)), 2),
+    ("VanishingCertificate", lambda v: VanishingCertificate(eta=(v, 0, -1)), 1),
+    ("is_admissible", lambda v: is_admissible(PROFILE, (v, 0, 0)), 1),
 ]
 
 
@@ -65,3 +73,17 @@ def test_entry_point_refuses_non_integers_and_accepts_integer_types(call, good):
     member = IntEnum("Member", {"M": good}).M
     # repr tells an IntEnum member from the plain int, inside tuples and dataclasses too
     assert repr(call(member)) == repr(call(good))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: validate_gcm(5), NotAnInteger),
+    (lambda: signs(5), NotAnInteger),
+    (lambda: is_admissible(PROFILE, 5), NotAnInteger),
+    (lambda: weight_box(BOTT, (0, 0, 0)), NotADivisor),
+    (lambda: phi(BOTT, (0, 0, 0), (1, 2, 3), (1, 1)), NotADivisor),
+], ids=["validate_gcm", "signs", "is_admissible", "weight_box", "phi"])
+def test_a_wrong_argument_type_raises_a_typed_error(call, error):
+    # a non-iterable where a list belongs, or a tuple where a ToricDivisor
+    # belongs, is refused with a BottSamelsonError, not a bare traceback
+    with pytest.raises(error):
+        call()

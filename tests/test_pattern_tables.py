@@ -7,11 +7,8 @@ classify every weight of the box (and of its shell) one at a time, as
 toric._scan_table does for the closed form.
 """
 
-import importlib.util
 import json
-import sys
 from itertools import chain
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -37,20 +34,10 @@ from bottsamelson import (
 )
 from bottsamelson.bott import _line_masks, _sign_pattern_counts
 from bottsamelson.toric import _scan_table
+from conftest import bench_workloads
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 ORACLE_PROBLEMS = 300
 TORIC_SCAN_POINTS = 20_000
-
-
-def _workloads():
-    """bench/workloads.py, the benchmark's seeded problem generator."""
-    name = "bench_workloads"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, WORKLOADS_PY)
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
 
 
 def reference_demazure_dims(bott, divisor):
@@ -74,7 +61,7 @@ def reference_cech_dims(bott, divisor):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_tables_equal_per_weight_sums_on_oracle_small(seed):
-    workloads = _workloads()
+    workloads = bench_workloads()
     for k in range(ORACLE_PROBLEMS):
         problem = workloads.problem("oracle_small", seed, k)
         spec = parse_problem(json.loads(problem.text))
@@ -113,7 +100,7 @@ def test_scan_reference_does_not_use_the_sweep(monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_table_equals_the_scan_on_toric_boxes(seed):
-    workloads = _workloads()
+    workloads = bench_workloads()
     checked = 0
     for k in range(workloads.TURN["toric_boxes"]):
         problem = workloads.problem("toric_boxes", seed, k)

@@ -166,6 +166,31 @@ def test_alpha_summary_over_random_matrices_equals_interior_enumeration(data):
         assert (pair["min"], pair["max"]) == (min(values), max(values))
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_warm_direction_tables_agree_with_enumeration(data):
+    # towers over one matrix share its direction table and alpha memo, so
+    # every tower after the first starts from directions, reflections and
+    # alpha steps that other words recorded; each must still agree with
+    # alpha_reflect and big_c, which never read the table
+    gcm = data.draw(random_gcms())
+    for _ in range(data.draw(st.integers(4, 10))):
+        n = data.draw(st.integers(1, 7))
+        bott = build_bott_data(gcm, data.draw(st.lists(st.integers(1, gcm.n), min_size=n, max_size=n)))
+        for pair in _alpha_summary(bott)["pairs"]:
+            i, j = pair["i"], pair["j"]
+            values = [
+                alpha_reflect(bott, i, j, (1,) * i + interior + (1,) * (n - j + 1))
+                for interior in all_sign_vectors(j - i - 1)
+            ]
+            assert (pair["min"], pair["max"]) == (min(values), max(values))
+        a = data.draw(coeffs(n, 3))
+        profile = condition_profile(bott, a)
+        for i in range(1, n + 1):
+            values = [big_c(bott, a, i, (1,) * i + s) for s in all_sign_vectors(n - i)]
+            assert (profile.c_min[i - 1], profile.c_max[i - 1]) == (min(values), max(values))
+
+
 @PROPERTY
 @given(st.data())
 def test_serre_duality_of_the_toric_table(data):

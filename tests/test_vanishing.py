@@ -1,4 +1,7 @@
+import json
 import random
+import sys
+import threading
 from itertools import product
 from math import prod
 
@@ -8,6 +11,7 @@ from bottsamelson import (
     ConditionProfile,
     InconsistentData,
     IndexOutOfRange,
+    NotAnInteger,
     NotInPicardBasis,
     ToricDivisor,
     VanishingCertificate,
@@ -29,10 +33,17 @@ from bottsamelson import (
     vanishing_report,
 )
 from bottsamelson import bott as bott_module
-from bottsamelson.analysis import _alpha_summary, run_analyze
+from bottsamelson.analysis import _alpha_summary, load_problem, report_json, run_analyze
 from bottsamelson.bott import _direction_plan
 from bottsamelson.vanishing import _sweep_bounds, _vanishing_report
-from conftest import SINGULAR_GCMS, hard_deadline, random_coeffs, random_instance, random_word
+from conftest import (
+    SINGULAR_GCMS,
+    bench_workloads,
+    hard_deadline,
+    random_coeffs,
+    random_instance,
+    random_word,
+)
 
 SL3 = build_bott_data(cartan_of_type("A", 2), Word((1, 2)))
 
@@ -149,6 +160,116 @@ def test_the_direction_plan_is_built_once_per_tower(monkeypatch):
     assert builds[1:] == [bott]
 
 
+INDEFINITE = validate_gcm([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]])
+
+
+def _certify_report(text):
+    return report_json(run_analyze(load_problem(text), with_toric=False))
+
+
+def test_reports_do_not_depend_on_the_order_towers_meet_the_table():
+    # towers over one matrix share a direction table and an alpha memo, in
+    # whatever order they come; each report must be the one a fresh table
+    # gives
+    workloads = bench_workloads()
+    texts = [workloads.problem("certify_long", 2, k).text for k in range(60)]
+    fresh = []
+    for text in texts:
+        bott_module._tables.clear()
+        fresh.append(_certify_report(text))
+    bott_module._tables.clear()
+    assert [_certify_report(text) for text in texts] == fresh
+    assert [_certify_report(text) for text in reversed(texts)] == fresh[::-1]
+
+
+def test_the_table_bounds_are_fixed():
+    assert (bott_module._TABLES, bott_module._TABLE_DIRECTIONS,
+            bott_module._MEMO_REACH, bott_module._MEMO_ELEMENTS) == (16, 4096, 32, 16384)
+
+
+def _live_tables_within_bounds():
+    tables = list(bott_module._tables.values())
+    assert len(tables) <= bott_module._TABLES
+    for table in tables:
+        assert len(table.vectors) <= bott_module._TABLE_DIRECTIONS
+        members = sum(len(reach) for memo in table.memo.values() for reach in memo)
+        assert members == table.stored <= bott_module._MEMO_ELEMENTS
+        assert all(len(reach) <= bott_module._MEMO_REACH for memo in table.memo.values() for reach in memo)
+
+
+def test_tables_and_memos_stay_within_their_bounds():
+    # a table past its direction bound leaves the cache when its tower is
+    # built, and the next tower over the matrix starts a fresh one
+    rng = random.Random(300)
+    bott_module._tables.clear()
+    table, tables = None, 0
+    for _ in range(300):
+        bott = build_bott_data(INDEFINITE, random_word(rng, 3, rng.randint(20, 26)))
+        _alpha_summary(bott)
+        if bott.plan.table is not table:
+            table, tables = bott.plan.table, tables + 1
+        _live_tables_within_bounds()
+    assert tables > 1  # the bound was reached, and a fresh table made
+    # one tower past the bound on its own: its table is never cached
+    bott = build_bott_data(INDEFINITE, random_word(random.Random(40), 3, 40))
+    assert len(bott.plan.table.vectors) > bott_module._TABLE_DIRECTIONS
+    assert bott.plan.table not in bott_module._tables.values()
+    _live_tables_within_bounds()
+    # least recently used tables leave first: 40 rank-2 matrices
+    for k in range(40):
+        gcm = validate_gcm([[2, -1 - k], [-1, 2]])
+        _alpha_summary(build_bott_data(gcm, (1, 2, 1, 2)))
+        _live_tables_within_bounds()
+    assert [key[1][0][1] for key in bott_module._tables] == [-k for k in range(25, 41)]
+
+
+def test_towers_built_in_threads_share_a_table_safely():
+    # indefinite words from an empty table: every tower adds directions
+    # while the others read and extend the same table
+    rng = random.Random(4)
+    texts = [
+        json.dumps({"cartan": {"matrix": [[2, -2, -1], [-2, 2, -1], [-1, -1, 2]]},
+                    "word": list(random_word(rng, 3, n).letters), "divisor": random_coeffs(rng, n, 3)})
+        for n in [12, 14, 16, 18] * 8
+    ]
+    fresh = []
+    for text in texts:
+        bott_module._tables.clear()
+        fresh.append(_certify_report(text))
+    bott_module._tables.clear()
+    reports = {}
+
+    def work(start):
+        for k in range(start, len(texts), 4):
+            reports[k] = _certify_report(texts[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(start,)) for start in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [reports[k] for k in range(len(texts))] == fresh
+    # a lost update would leave a number without its direction, or a
+    # reflection that is not one
+    (table,) = bott_module._tables.values()
+    assert len(table.number) == len(table.vectors)
+    assert all(table.number[f] == g for g, f in enumerate(table.vectors))
+    for l, row in table.rows.items():
+        at = table.column[l]
+        assert len(table.turn[l]) == len(table.vectors)
+        for g, t in enumerate(table.turn[l]):
+            if t >= 0:
+                f = table.vectors[g]
+                assert table.vectors[t] == tuple(x - f[at] * y for x, y in zip(f, row))
+    _live_tables_within_bounds()
+
+
 def test_alpha_summary_of_a_long_word_costs_its_directions():
     # A3's directions are its 12 coroots at any N, so each of the N(N-1)/2
     # ranges reads at most 12 of them
@@ -258,9 +379,14 @@ def test_certificate_degree_arithmetic():
     assert VanishingCertificate(eta=(1, 1)).vanished_degrees() == (1, 2)
 
 
-@pytest.mark.parametrize("eta", [(2,), (1, -1, "x")])
-def test_certificate_refuses_entries_that_are_not_signs(eta):
-    with pytest.raises(IndexOutOfRange, match="out of range -1, 0 or \\+1"):
+@pytest.mark.parametrize("eta, error, match", [
+    # an integer that is not a sign is out of range; a string entry falls
+    # under the integer rule before the range is checked
+    pytest.param((2,), IndexOutOfRange, "out of range -1, 0 or \\+1", id="eta0"),
+    pytest.param((1, -1, "x"), NotAnInteger, "sign entry must be an integer", id="eta1"),
+])
+def test_certificate_refuses_entries_that_are_not_signs(eta, error, match):
+    with pytest.raises(error, match=match):
         VanishingCertificate(eta=eta)
 
 
