@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import threading
+import time
 from itertools import product
 from math import prod
 
@@ -223,24 +224,43 @@ def test_tables_and_memos_stay_within_their_bounds():
     assert [key[1][0][1] for key in bott_module._tables] == [-k for k in range(25, 41)]
 
 
+class _YieldingList(list):
+    """A list whose append first hands the interpreter to another thread,
+    so an unguarded number-then-append in _Directions.add would interleave."""
+
+    def append(self, item):
+        time.sleep(0)
+        super().append(item)
+
+
 def test_towers_built_in_threads_share_a_table_safely():
-    # indefinite words from an empty table: every tower adds directions
-    # while the others read and extend the same table
+    # indefinite words (all three letters) from an empty table: every tower
+    # adds directions while the others read and extend the same table
     rng = random.Random(4)
     texts = [
-        json.dumps({"cartan": {"matrix": [[2, -2, -1], [-2, 2, -1], [-1, -1, 2]]},
-                    "word": list(random_word(rng, 3, n).letters), "divisor": random_coeffs(rng, n, 3)})
+        json.dumps({"cartan": {"matrix": [list(row) for row in INDEFINITE.entries]},
+                    "word": [1, 2, 3] + list(random_word(rng, 3, n - 3).letters),
+                    "divisor": random_coeffs(rng, n, 3)})
         for n in [12, 14, 16, 18] * 8
     ]
-    fresh = []
-    for text in texts:
+    towers = [load_problem(text).bott() for text in texts]
+    fresh, fresh_plans = [], []
+    for text, bott in zip(texts, towers):
         bott_module._tables.clear()
         fresh.append(_certify_report(text))
+        fresh_plans.append(_direction_plan(bott)[:5])
     bott_module._tables.clear()
-    reports = {}
+    table = bott_module._directions(INDEFINITE, (1, 2, 3))
+    table.vectors = _YieldingList(table.vectors)
+    reports, plans = {}, {}
 
+    # the plan is built straight from _direction_plan as well, since
+    # BottData.plan may serialise its builds (cached_property holds a lock
+    # before Python 3.12); a tower's own numbering does not depend on the
+    # table's, so each plan must equal its fresh one
     def work(start):
         for k in range(start, len(texts), 4):
+            plans[k] = _direction_plan(towers[k])[:5]
             reports[k] = _certify_report(texts[k])
 
     interval = sys.getswitchinterval()
@@ -254,10 +274,11 @@ def test_towers_built_in_threads_share_a_table_safely():
             assert not thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
+    assert [plans[k] for k in range(len(texts))] == fresh_plans
     assert [reports[k] for k in range(len(texts))] == fresh
     # a lost update would leave a number without its direction, or a
     # reflection that is not one
-    (table,) = bott_module._tables.values()
+    assert list(bott_module._tables.values()) == [table]
     assert len(table.number) == len(table.vectors)
     assert all(table.number[f] == g for g, f in enumerate(table.vectors))
     for l, row in table.rows.items():
