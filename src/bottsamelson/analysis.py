@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .bott import BottData, Word, _line_masks, _sign_masks, build_bott_data
+from .bott import BottData, Word, _line_masks, _lock, _sign_masks, build_bott_data
 from .cech import _cech_pattern_dims, cech_table
 from .errors import BottSamelsonError, BoxTooLarge, _int, _ints
 from .rootsystem import GeneralizedCartanMatrix, _family_minimum, cartan_of_type, validate_gcm
@@ -206,17 +206,19 @@ def _alpha_summary(bott: BottData) -> dict:
     reach at step j lies inside D_{j-1}, which the tower's plan has
     reflected by l_j, so the reads are exact for any generalized Cartan
     matrix, and in finite type a reach never holds more than the roots.
-    The memo is safe to read while other threads build towers.
+    The walk holds bott._lock, as the plan build does, so towers may be
+    built and summarised in several threads at once.
     """
     table, letters, n = bott.plan.table, bott.word.letters, bott.length
     steps = [(l, table.memo[l].get) for l in letters]
     pairs = []
-    for i in range(1, n):
-        reach = table.start[letters[i - 1]]
-        for j in range(i + 1, n + 1):
-            l, get = steps[j - 1]
-            lo, hi, reach = get(reach) or table.step(l, reach)
-            pairs.append({"i": i, "j": j, "min": lo, "max": hi})
+    with _lock:
+        for i in range(1, n):
+            reach = table.start[letters[i - 1]]
+            for j in range(i + 1, n + 1):
+                l, get = steps[j - 1]
+                lo, hi, reach = get(reach) or table.step(l, reach)
+                pairs.append({"i": i, "j": j, "min": lo, "max": hi})
     return {
         "dimension": n,
         "beta": [list(row) for row in bott.beta],

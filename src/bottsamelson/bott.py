@@ -89,6 +89,13 @@ class BottData:
         and repr do not see it."""
         return _direction_plan(self)
 
+    def __getstate__(self) -> dict:
+        # the plan is a cache on this process's direction table: a copy or
+        # an unpickled tower builds its own, on the table of its process
+        state = dict(self.__dict__)
+        state.pop("plan", None)
+        return state
+
 
 def build_bott_data(gcm: GeneralizedCartanMatrix, word) -> BottData:
     """Assemble the fan data of the Bott tower for a word.
@@ -146,19 +153,27 @@ class _Plan(NamedTuple):
     table: "_Directions"
 
 
-# Bounds of the shared direction tables, so a long-lived process holds a
-# fixed amount: at most _TABLES tables stay cached, the least recently used
-# leaving first; a table with more than _TABLE_DIRECTIONS directions leaves
-# the cache once the tower that grew it is built; and each alpha memo keeps
-# the steps of reaches of at most _MEMO_REACH members, _MEMO_ELEMENTS
-# members in all.
-_TABLES = 16
-_TABLE_DIRECTIONS = 4096
+# Bounds of the shared direction tables, for the whole cache, so that a
+# long-lived process holds a fixed amount however many matrices and words
+# it meets. At most _TABLES tables, with at most _DIRECTIONS directions in
+# all, stay cached: when a tower's build passes either bound, its table
+# leaves the cache if it alone holds more than _DIRECTIONS, and then the
+# least recently used tables leave until the rest fit. Their alpha memos
+# store only reaches of at most _MEMO_REACH members, and at most _MEMO
+# units in all, a stored step counting the members of its reach and of
+# the reach it steps to, and 8 more for its own two sets and tuple; a full
+# memo stores no more and evicts nothing.
+_TABLES = 64
+_DIRECTIONS = 4096
+_MEMO = 32768
 _MEMO_REACH = 32
-_MEMO_ELEMENTS = 16384
 
 _tables: Dict[Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]], "_Directions"] = {}
-_tables_lock = allocate_lock()
+_held_directions = 0
+_held_memo = 0
+# held by every pass that reads or writes the cache or a table: plan
+# builds and alpha summaries
+_lock = allocate_lock()
 
 
 class _Directions:
@@ -178,19 +193,20 @@ class _Directions:
     memo[l] maps a reach (a frozenset of direction numbers) to one alpha
     summary step: the min and max of f_l over the reach, and the reach
     joined with its image under s_l (step). Each stored reach is a key of
-    its own, so a warm summary costs one dict lookup per pair. Only
-    reaches of at most _MEMO_REACH members are stored, and no more than
-    _MEMO_ELEMENTS members in all.
+    its own, so a warm summary costs one dict lookup per pair. stored is
+    the memo's share of the cache's bound _MEMO, in the units set out
+    there; a table that has left the cache (cached is false) stores no
+    more.
 
-    Thread safety: lock serialises every write. _direction_plan holds it
-    while it builds a tower, and step while it stores a memo entry. A
-    direction, a filled turn entry and a stored memo entry never change,
-    so the alpha summary reads them without it. Towers built and read in
-    several threads over one matrix therefore share one table safely.
+    Thread safety: every reader and writer of a table holds the module's
+    _lock: _direction_plan while it builds a tower, and the alpha summary
+    (analysis._alpha_summary) while it walks the memo and calls step. So
+    towers built and summarised in several threads share a table safely.
+    The condition sweep reads only the plan's own lists.
     """
 
     __slots__ = ("key", "rows", "column", "vectors", "number", "turn", "ends", "start",
-                 "memo", "stored", "lock")
+                 "memo", "stored", "cached")
 
     def __init__(self, key: Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]):
         keys, rows = key
@@ -202,7 +218,7 @@ class _Directions:
         self.turn: Dict[int, List[int]] = {l: [] for l in keys}
         self.memo: Dict[int, dict] = {l: {} for l in keys}
         self.stored = 0
-        self.lock = allocate_lock()
+        self.cached = True
         self.ends = {
             l: (self.add(row), self.add(tuple([-x for x in row]))) for l, row in self.rows.items()
         }
@@ -219,41 +235,57 @@ class _Directions:
 
     def step(self, l: int, reach: frozenset) -> Tuple[int, int, frozenset]:
         """One alpha summary step of letter l from a reach of directions that
-        l has reflected, read off the reach's members and stored in memo[l]
-        if the reach is small and the memo has room."""
+        l has reflected and that memo[l] lacks, read off the reach's members
+        and stored in memo[l] if the reach is small and the cache's memos
+        have room. Call it with _lock held."""
+        global _held_memo
         vectors, at = self.vectors, self.column[l]
         values = [vectors[g][at] for g in reach]
         grown = reach.union(map(self.turn[l].__getitem__, reach))
         out = (min(values), max(values), reach if len(grown) == len(reach) else grown)
-        if len(reach) <= _MEMO_REACH:
-            with self.lock:
-                memo = self.memo[l]
-                if reach not in memo and self.stored + len(reach) <= _MEMO_ELEMENTS:
-                    memo[reach] = out
-                    self.stored += len(reach)
+        if len(reach) <= _MEMO_REACH and self.cached:
+            cost = len(reach) + len(grown) + 8
+            if _held_memo + cost <= _MEMO:
+                self.memo[l][reach] = out
+                self.stored += cost
+                _held_memo += cost
         return out
 
 
 def _directions(gcm: GeneralizedCartanMatrix, keys: Tuple[int, ...]) -> _Directions:
-    """The cached table of the letters keys of gcm, made fresh when there is
-    none; it becomes the most recently used, and the least recently used
-    past _TABLES leaves the cache."""
+    """The cached table of the letters keys of gcm, made and cached fresh
+    when there is none; it becomes the most recently used. Call it with
+    _lock held."""
+    global _held_directions
     entries = gcm.entries
     key = (keys, tuple([tuple([entries[l - 1][k - 1] for k in keys]) for l in keys]))
-    with _tables_lock:
-        table = _tables.pop(key, None) or _Directions(key)
-        _tables[key] = table
-        if len(_tables) > _TABLES:
-            del _tables[next(iter(_tables))]
+    table = _tables.pop(key, None)
+    if table is None:
+        table = _Directions(key)
+        _held_directions += len(table.vectors)
+    _tables[key] = table
     return table
 
 
+def _release(table: _Directions) -> None:
+    """Take table out of the cache and its directions and memo out of the
+    bounds; a tower that holds it reads on, but its memo stops growing.
+    No build runs on it again, so its number index goes. Call it with
+    _lock held."""
+    global _held_directions, _held_memo
+    del _tables[table.key]
+    table.cached = False
+    table.number = None
+    _held_directions -= len(table.vectors)
+    _held_memo -= table.stored
+
+
 def _direction_plan(bott: BottData) -> _Plan:
-    """One upward pass: D_1 = {+-A[l_1]}, and D_i is D_{i-1}, its image
-    under s_{l_i}, and +-A[l_i]. Each D_i lies in {+-A[l]} and its images
-    under the Weyl group, so in finite type it never holds more than the
-    roots (12 for A3, 24 for D4) at any N. Each direction is reflected at
-    most once per letter: a step of letter l only reflects the directions
+    """Number the coroot directions the word reaches, in one pass over its
+    letters: step i of letter l appends f_l of every direction found since
+    the previous step of l (so coef and turn of l are filled over D_{i-1}),
+    numbering each new s_l f as it is found, then numbers A[l] and -A[l].
+    turn[l] is never read past D_{i-1}, so later steps only reflect what was
     found since its previous step. Read it through BottData.plan, which
     builds it once per tower.
 
@@ -262,52 +294,65 @@ def _direction_plan(bott: BottData) -> _Plan:
     and local[g] the tower's number of table direction g, or -1 until the
     tower finds it. A reflection the table holds is a list read; only one
     that no tower has made yet builds a tuple, and its image under the same
-    letter is recorded too, since s_l is an involution. A tower that fills
-    a fresh table numbers its directions as the table does, and then
-    reuses the table's int objects. A table that has grown past
-    _TABLE_DIRECTIONS leaves the cache when the pass ends, so the next
-    tower over that matrix starts a fresh one; the tower keeps it. The pass
-    holds the table's lock, so threads may build towers over one matrix
-    at the same time.
+    letter is recorded too, since s_l is an involution. A tower's number
+    for a direction it finds is len(ids); where that equals the table's
+    number (as in a tower that fills a fresh table), the plan stores the
+    table's int object instead of a second, equal one, which keeps about
+    0.4 MB off the peak RSS at N = 40.
+
+    When the pass takes the cache past its bounds, tables leave it as set
+    out at _TABLES; a tower keeps its table either way. A pass cut short
+    by an exception (a deadline, say) takes its table out of the cache,
+    so no later tower reads a half-written direction. The pass holds
+    _lock, so threads may build towers over one matrix at the same time.
     """
+    global _held_directions
     letters = bott.word.letters
     keys = tuple(sorted(set(letters)))
-    table = _directions(bott.gcm, keys)
-    vectors, ids = table.vectors, []
-    plan = _Plan([], [], [], {l: [] for l in keys}, {l: [] for l in keys}, table)
-    with table.lock:
-        local = [-1] * len(vectors)
-        for l in letters:
-            coef, turn, row = plan.coef[l], plan.turn[l], table.rows[l]
-            at, table_turn = table.column[l], table.turn[l]
-            for j in range(len(coef), len(ids)):
-                g = ids[j]
-                c = vectors[g][at]
-                coef.append(c)
-                if c:  # else s_l f = f, number j
-                    t = table_turn[g]
-                    if t < 0:
-                        t = table_turn[g] = table.add(
-                            tuple([x - c * y for x, y in zip(vectors[g], row)]))
-                        table_turn[t] = g
-                        if t == len(local):
-                            local.append(-1)
-                    j = local[t]
+    with _lock:
+        table = _directions(bott.gcm, keys)
+        vectors, ids = table.vectors, []
+        before = len(vectors)
+        plan = _Plan([], [], [], {l: [] for l in keys}, {l: [] for l in keys}, table)
+        local, done = [-1] * before, False
+        try:
+            for l in letters:
+                coef, turn, row = plan.coef[l], plan.turn[l], table.rows[l]
+                at, table_turn = table.column[l], table.turn[l]
+                for j in range(len(coef), len(ids)):
+                    g = ids[j]
+                    c = vectors[g][at]
+                    coef.append(c)
+                    if c:  # else s_l f = f, number j
+                        t = table_turn[g]
+                        if t < 0:
+                            t = table_turn[g] = table.add(
+                                tuple([x - c * y for x, y in zip(vectors[g], row)]))
+                            table_turn[t] = g
+                            if t == len(local):
+                                local.append(-1)
+                        j = local[t]
+                        if j < 0:
+                            j = len(ids)
+                            j = local[t] = t if j == t else j  # t's int object
+                            ids.append(t)
+                    turn.append(j)
+                for g, ends in zip(table.ends[l], (plan.top, plan.bottom)):
+                    j = local[g]
                     if j < 0:
-                        j = local[t] = t if t == len(ids) else len(ids)
-                        ids.append(t)
-                turn.append(j)
-            for g, ends in zip(table.ends[l], (plan.top, plan.bottom)):
-                j = local[g]
-                if j < 0:
-                    j = local[g] = g if g == len(ids) else len(ids)
-                    ids.append(g)
-                ends.append(j)
-            plan.size.append(len(ids))
-    if len(vectors) > _TABLE_DIRECTIONS:
-        with _tables_lock:
-            if _tables.get(table.key) is table:
-                del _tables[table.key]
+                        j = len(ids)
+                        j = local[g] = g if j == g else j  # g's int object
+                        ids.append(g)
+                    ends.append(j)
+                plan.size.append(len(ids))
+            done = True
+        finally:
+            _held_directions += len(vectors) - before
+            # a pass cut short may leave a number without its direction
+            if len(vectors) > _DIRECTIONS or not done:
+                _release(table)
+            while _held_directions > _DIRECTIONS or len(_tables) > _TABLES:
+                _release(next(iter(_tables.values())))
     return plan
 
 

@@ -20,8 +20,9 @@ of the matrix, not to one word, so they are stored once per matrix and
 set of letters, in a private table (bott._Directions) that every tower
 over that matrix in the process shares: it numbers each direction once,
 records each reflection s_l f as a direction number, and memoises the
-steps of the alpha summary. The table is bounded (at most 16 tables of at
-most 4,096 directions are cached) and safe to share between threads. The
+steps of the alpha summary. The cache of tables is bounded as a whole
+(at most 64 tables and 4,096 directions; bott._TABLES sets out the rest)
+and safe to share between threads. The
 tower's direction plan (bott._direction_plan), built once per tower from
 table lookups, holds the rows of the word's letters and their images
 under the letters' reflections, taken in word order, in the tower's own

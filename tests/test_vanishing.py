@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 import sys
 import threading
@@ -168,6 +170,13 @@ def _certify_report(text):
     return report_json(run_analyze(load_problem(text), with_toric=False))
 
 
+def _empty_cache():
+    # release every cached table, so the cache's counts drop with them
+    with bott_module._lock:
+        for table in list(bott_module._tables.values()):
+            bott_module._release(table)
+
+
 def test_reports_do_not_depend_on_the_order_towers_meet_the_table():
     # towers over one matrix share a direction table and an alpha memo, in
     # whatever order they come; each report must be the one a fresh table
@@ -176,52 +185,112 @@ def test_reports_do_not_depend_on_the_order_towers_meet_the_table():
     texts = [workloads.problem("certify_long", 2, k).text for k in range(60)]
     fresh = []
     for text in texts:
-        bott_module._tables.clear()
+        _empty_cache()
         fresh.append(_certify_report(text))
-    bott_module._tables.clear()
+    _empty_cache()
     assert [_certify_report(text) for text in texts] == fresh
     assert [_certify_report(text) for text in reversed(texts)] == fresh[::-1]
 
 
 def test_the_table_bounds_are_fixed():
-    assert (bott_module._TABLES, bott_module._TABLE_DIRECTIONS,
-            bott_module._MEMO_REACH, bott_module._MEMO_ELEMENTS) == (16, 4096, 32, 16384)
+    assert (bott_module._TABLES, bott_module._DIRECTIONS,
+            bott_module._MEMO, bott_module._MEMO_REACH) == (64, 4096, 32768, 32)
 
 
-def _live_tables_within_bounds():
+def _cache_within_bounds():
     tables = list(bott_module._tables.values())
     assert len(tables) <= bott_module._TABLES
+    assert all(table.cached for table in tables)
+    directions = sum(len(table.vectors) for table in tables)
+    assert directions == bott_module._held_directions <= bott_module._DIRECTIONS
+    units = 0
     for table in tables:
-        assert len(table.vectors) <= bott_module._TABLE_DIRECTIONS
-        members = sum(len(reach) for memo in table.memo.values() for reach in memo)
-        assert members == table.stored <= bott_module._MEMO_ELEMENTS
-        assert all(len(reach) <= bott_module._MEMO_REACH for memo in table.memo.values() for reach in memo)
+        steps = [(reach, out) for memo in table.memo.values() for reach, out in memo.items()]
+        assert all(len(reach) <= bott_module._MEMO_REACH for reach, _ in steps)
+        # a step counts its reach, the reach it steps to, and 8 for itself
+        assert sum(len(reach) + len(out[2]) + 8 for reach, out in steps) == table.stored
+        units += table.stored
+    assert units == bott_module._held_memo <= bott_module._MEMO
 
 
 def test_tables_and_memos_stay_within_their_bounds():
-    # a table past its direction bound leaves the cache when its tower is
+    # a table past the direction bound leaves the cache when its tower is
     # built, and the next tower over the matrix starts a fresh one
     rng = random.Random(300)
-    bott_module._tables.clear()
-    table, tables = None, 0
+    _empty_cache()
+    table, tables, memo = None, 0, 0
     for _ in range(300):
         bott = build_bott_data(INDEFINITE, random_word(rng, 3, rng.randint(20, 26)))
         _alpha_summary(bott)
         if bott.plan.table is not table:
             table, tables = bott.plan.table, tables + 1
-        _live_tables_within_bounds()
+        memo = max(memo, bott_module._held_memo)
+        _cache_within_bounds()
     assert tables > 1  # the bound was reached, and a fresh table made
+    assert memo > bott_module._MEMO - 100  # and the memo filled
     # one tower past the bound on its own: its table is never cached
     bott = build_bott_data(INDEFINITE, random_word(random.Random(40), 3, 40))
-    assert len(bott.plan.table.vectors) > bott_module._TABLE_DIRECTIONS
+    assert len(bott.plan.table.vectors) > bott_module._DIRECTIONS
+    assert not bott.plan.table.cached
     assert bott.plan.table not in bott_module._tables.values()
-    _live_tables_within_bounds()
-    # least recently used tables leave first: 40 rank-2 matrices
-    for k in range(40):
+    _cache_within_bounds()
+    # least recently used tables leave first, past the table bound ...
+    for k in range(80):
         gcm = validate_gcm([[2, -1 - k], [-1, 2]])
         _alpha_summary(build_bott_data(gcm, (1, 2, 1, 2)))
-        _live_tables_within_bounds()
-    assert [key[1][0][1] for key in bott_module._tables] == [-k for k in range(25, 41)]
+        _cache_within_bounds()
+    assert [key[1][0][1] for key in bott_module._tables] == [-1 - k for k in range(16, 80)]
+    # ... and past the direction bound, which two matrices' tables pass
+    # together (2,634 and 2,016 directions) but not one alone
+    first = build_bott_data(INDEFINITE, random_word(random.Random(30), 3, 30))
+    second = build_bott_data(validate_gcm([[2, -3, -1], [-2, 2, -2], [-1, -1, 2]]),
+                             random_word(random.Random(6), 3, 26))
+    _alpha_summary(first)
+    assert first.plan.table.cached
+    _alpha_summary(second)
+    assert list(bott_module._tables.values()) == [second.plan.table]
+    assert not first.plan.table.cached
+    _cache_within_bounds()
+
+
+def test_a_build_cut_short_leaves_its_table_out_of_the_cache(monkeypatch):
+    # an exception inside a plan build (a deadline, say) may fall between
+    # numbering a direction and storing it, so that table is not reused;
+    # the other tables stay
+    _empty_cache()
+    a3 = build_bott_data(cartan_of_type("A", 3), (1, 2, 3, 2, 1)).plan.table
+    add, calls = bott_module._Directions.add, []
+
+    def cut(self, f):
+        calls.append(f)
+        if len(calls) == 40:
+            raise TimeoutError
+        return add(self, f)
+
+    monkeypatch.setattr(bott_module._Directions, "add", cut)
+    word = random_word(random.Random(26), 3, 26)
+    with pytest.raises(TimeoutError):
+        build_bott_data(INDEFINITE, word).plan
+    assert list(bott_module._tables.values()) == [a3]
+    _cache_within_bounds()
+    monkeypatch.undo()
+    bott = build_bott_data(INDEFINITE, word)
+    assert len(bott.plan.table.vectors) == bott.plan.size[-1] == 1338
+    _cache_within_bounds()
+
+
+def test_a_tower_pickles_and_copies_without_its_plan():
+    # the plan holds this process's shared table; a copy of the tower
+    # rebuilds its own and reports the same
+    bott = build_bott_data(INDEFINITE, (1, 2, 3, 1, 3, 2, 1, 2, 3, 3, 1))
+    a = (1, -2, 0, 3, -1, 2, 0, 1, -3, 2, 1)
+    profile, summary = condition_profile(bott, a), _alpha_summary(bott)
+    for copy_ in (pickle.loads(pickle.dumps(bott)), copy.deepcopy(bott), copy.copy(bott)):
+        assert copy_ == bott and "plan" not in vars(copy_)
+        assert condition_profile(copy_, a) == profile
+        assert _alpha_summary(copy_) == summary
+    _empty_cache()
+    assert _alpha_summary(pickle.loads(pickle.dumps(bott))) == summary
 
 
 class _YieldingList(list):
@@ -246,11 +315,12 @@ def test_towers_built_in_threads_share_a_table_safely():
     towers = [load_problem(text).bott() for text in texts]
     fresh, fresh_plans = [], []
     for text, bott in zip(texts, towers):
-        bott_module._tables.clear()
+        _empty_cache()
         fresh.append(_certify_report(text))
         fresh_plans.append(_direction_plan(bott)[:5])
-    bott_module._tables.clear()
-    table = bott_module._directions(INDEFINITE, (1, 2, 3))
+    _empty_cache()
+    with bott_module._lock:
+        table = bott_module._directions(INDEFINITE, (1, 2, 3))
     table.vectors = _YieldingList(table.vectors)
     reports, plans = {}, {}
 
@@ -288,7 +358,7 @@ def test_towers_built_in_threads_share_a_table_safely():
             if t >= 0:
                 f = table.vectors[g]
                 assert table.vectors[t] == tuple(x - f[at] * y for x, y in zip(f, row))
-    _live_tables_within_bounds()
+    _cache_within_bounds()
 
 
 def test_alpha_summary_of_a_long_word_costs_its_directions():
