@@ -184,7 +184,8 @@ class _Directions:
 
     Direction g is the tuple vectors[g], in the coordinates of _Plan: its
     values on the simple roots of the letters, in increasing letter order,
-    so f_l is vectors[g][column[l]]. Per letter l, turn[l][g] is the number
+    so f_l is vectors[g][column[l]], and number[f] is g while the table is
+    cached (None after, when no build can use it). Per letter l, turn[l][g] is the number
     of s_l f, or -1 while no tower has reflected it; a direction that l
     fixes has turn g from the start. ends[l] holds the numbers of A[l] and
     -A[l], and start[l] the reach {A[l]} that the alpha summary begins with
