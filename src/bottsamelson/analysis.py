@@ -457,6 +457,14 @@ def report_json(doc: dict) -> str:
     string, written directly: with an indent, json.dumps takes its
     pure-Python encoder.
 
+    Each dict, list and row table is written by one join over its pieces,
+    and a nested text is one piece of its parent's join: a "+" around a
+    nested text would copy it whole, once per "+". A dict's pieces are its
+    separators, keys and values; a list's brackets go on its end items.
+    So the call allocates about twice the text it returns beyond its
+    input: a scan report's record pieces and records text, then that text
+    and the whole report.
+
     Three kinds of list take a fast path; every other value is rendered
     item by item, and so is a list that fails its path's checks. The first
     two fill one row template (_fill) from one flattened tuple.
@@ -484,7 +492,9 @@ def report_json(doc: dict) -> str:
       every "single_degree" of type int or None and every "vanished" a list
       of type-int items. Then each record is written from one head, the repr
       of each distinct int of the "a" lists, and the text after "a", which
-      is rendered once per distinct conclusion. The exact types make that
+      is rendered once per distinct conclusion and ends with the next
+      record's separator and head; each record adds its "a" text and that
+      tail to one piece list, joined once. The exact types make that
       memo exact: values that compare equal but render differently (True
       and 1, 1.0 and 1) never reach it. A list that fails the check is
       rendered item by item, as any other list is.
@@ -507,10 +517,14 @@ def _render(value, newline: str) -> str:
         if not value:
             return "{}"
         inner = newline + "  "
-        return "{" + inner + ("," + inner).join([
-            encode_basestring_ascii(k if type(k) is str else _key(k)) + ": " + _render(v, inner)
-            for k, v in sorted(value.items())
-        ]) + newline + "}"
+        sep = "," + inner
+        pieces = []
+        for k, v in sorted(value.items()):
+            pieces += (sep, encode_basestring_ascii(k if type(k) is str else _key(k)), ": ",
+                       _render(v, inner))
+        pieces[0] = "{" + inner  # in place of the first separator
+        pieces.append(newline + "}")
+        return "".join(pieces)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -524,10 +538,14 @@ def _render(value, newline: str) -> str:
             return text
         inner = newline + "  "
         # 64-bit ints, most items of most reports, are written without a call
-        return "[" + inner + ("," + inner).join([
+        items = [
             repr(v) if type(v) is int and -_INT64_MAX <= v <= _INT64_MAX else _render(v, inner)
             for v in value
-        ]) + newline + "]"
+        ]
+        # the brackets join the end items, so only those two are copied twice
+        items[0] = "[" + inner + items[0]
+        items[-1] += newline + "]"
+        return ("," + inner).join(items)
     return json.dumps(value)
 
 
@@ -607,7 +625,10 @@ def _fill(open_: str, fields: Sequence[str], close: str, count: int, newline: st
     inner = newline + "  "
     field = inner + "  "
     row = open_ + field + ("," + field).join(fields) + inner + close
-    return ("[" + inner + ("," + inner).join([row] * count) + newline + "]") % tuple(values)
+    rows = [row] * count
+    rows[0] = "[" + inner + row
+    rows[-1] += newline + "]"
+    return ("," + inner).join(rows) % tuple(values)
 
 
 def _render_records(records, newline: str) -> Optional[str]:
@@ -642,8 +663,11 @@ def _render_records(records, newline: str) -> Optional[str]:
     field = inner + "  "
     head = "{" + field + '"a": [' + field + "  "
     sep = "," + field + "  "
+    # each tail ends with the next record's separator and head, so a record
+    # adds two pieces, its "a" text and its tail
+    next_head = "," + inner + head
     tails = {}
-    items = []
+    pieces = ["[" + inner + head]
     for a, e, s, v in zip(column_a, column_e, column_s, column_v):
         key = (e, s, *v)
         tail = tails.get(key)
@@ -651,13 +675,14 @@ def _render_records(records, newline: str) -> Optional[str]:
             tail = tails[key] = (
                 field + "]," + field + '"everything_vanishes": ' + _render(e, field)
                 + "," + field + '"single_degree": ' + _render(s, field)
-                + "," + field + '"vanished": ' + _render(v, field) + inner + "}"
+                + "," + field + '"vanished": ' + _render(v, field) + inner + "}" + next_head
             )
-        items.append(head + sep.join(map(text, a)) + tail)
-    # the join holds the items and the whole text at once, the peak of the
+        pieces += (sep.join(map(text, a)), tail)
+    pieces[-1] = pieces[-1][:-len(next_head)] + newline + "]"
+    # the join holds the pieces and the whole text at once, the peak of the
     # call, so the columns are gone by then
     del column_a, column_e, column_s, column_v
-    return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return "".join(pieces)
 
 
 def _key(key) -> str:

@@ -40,6 +40,8 @@ EXIT_INVALID = 2
 EXIT_CAPACITY = 3
 EXIT_MISMATCH = 4
 
+_CHUNK = 1 << 20  # characters per write of a report
+
 
 def _load_spec(file) -> ProblemSpec:
     try:
@@ -66,10 +68,12 @@ def _guarded(fn):
 
 
 def _emit(doc: dict, as_json: bool, renderer):
-    if as_json:
-        click.echo(report_json(doc))
-    else:
-        click.echo(renderer(doc))
+    # click.echo(text) would copy the whole text to add its newline, and the
+    # stream would encode that copy at once: a scan report runs to megabytes
+    text = report_json(doc) if as_json else renderer(doc)
+    for start in range(0, len(text), _CHUNK):
+        click.echo(text[start:start + _CHUNK], nl=False)
+    click.echo()
 
 
 def _fmt_vec(values) -> str:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import product
 from operator import or_
 
@@ -230,6 +231,34 @@ def test_scan_of_a_one_letter_word():
         {"a": [0], "vanished": [1], "single_degree": 0, "everything_vanishes": False},
         {"a": [1], "vanished": [1], "single_degree": 0, "everything_vanishes": False},
     ]
+
+
+def test_scan_report_is_written_in_one_copy():
+    # B3 at N = 5 over [-2, 2]^5: 3,125 records. Each nested text is joined
+    # once, so report_json holds two texts at a time at most: the records'
+    # pieces and their text, then that text and the whole report. A chained
+    # "+" around each nested text copies it whole, which took 3.24 times
+    # the text here
+    spec = parse_problem({
+        "cartan": {"type": "B", "rank": 3},
+        "word": [1, 2, 3, 2, 1],
+        "scan": [[-2, 2]] * 5,
+    })
+    doc = run_scan(spec)
+    assert len(doc["records"]) == 3125
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = report_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - before <= 2.5 * len(text)
+    assert text == json.dumps(doc, sort_keys=True, indent=2)
 
 
 def test_scan_grid_cap():

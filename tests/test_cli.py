@@ -86,6 +86,24 @@ def test_scan_subcommand():
     assert len(json.loads(as_json.output)["records"]) == 9
 
 
+def test_scan_report_past_one_write_is_written_whole():
+    # B3 at N = 5 over [-2, 3]^5: 7,776 records, a JSON report of about
+    # 1.7 MB and a text report of about 0.4 MB, written in 1 MiB pieces
+    doc = json.dumps({
+        "cartan": {"type": "B", "rank": 3},
+        "word": [1, 2, 3, 2, 1],
+        "scan": [[-2, 3]] * 5,
+    })
+    report = analysis.run_scan(analysis.load_problem(doc))
+    as_json = run(["scan", "--json", "-"], stdin=doc)
+    assert as_json.exit_code == 0
+    assert len(as_json.output) > 1 << 20
+    assert as_json.output == analysis.report_json(report) + "\n"
+    as_text = run(["scan", "-"], stdin=doc)
+    assert as_text.exit_code == 0
+    assert as_text.output == cli._render_scan(report) + "\n"
+
+
 def test_oracle_subcommand_agreement():
     result = run(["oracle", "-"], stdin=LINE)
     assert result.exit_code == 0
