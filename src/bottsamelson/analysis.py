@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .bott import BottData, Word, _line_masks, _lock, _sign_masks, build_bott_data
@@ -342,6 +342,13 @@ def scan_records(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> Iterator[dict
     every point's flag key (vanishing._flag_keys); the conclusions depend
     on the key alone and are built once per distinct key, at most
     2(N + 1)^2 of them.
+
+    Records whose "vanished" lists are equal share one list object, so a
+    scan holds at most 2(N + 1)^2 of them however large the grid, and
+    report_json renders each conclusion once. Each record is a fresh dict
+    with a fresh "a" list and compares equal to one with a copied list;
+    but mutating one record's "vanished" list in place changes it in every
+    record that shares it, so copy it first.
     """
     if spec.scan is None:
         raise ProblemError("the scan command needs a 'scan' entry with ranges")
@@ -353,20 +360,21 @@ def scan_records(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> Iterator[dict
     n = len(spec.scan)
     keys = _flag_keys(spec.scan, _sweep_bounds(spec.bott(), spec.scan))
     grid = product(*(range(lo, hi + 1) for lo, hi in spec.scan))
-    conclusions = {}
+    conclusions, lists = {}, {}
     for a, key in zip(grid, keys):
         verdict = conclusions.get(key)
         if verdict is None:
-            verdict = conclusions[key] = _conclusions(n, *key)
-        yield {
-            "a": list(a),
-            "vanished": list(verdict.vanished),
-            "single_degree": verdict.single_degree,
-            "everything_vanishes": verdict.everything_vanishes,
-        }
+            c = _conclusions(n, *key)
+            vanished = lists.setdefault(c.vanished, list(c.vanished))
+            verdict = conclusions[key] = (vanished, c.single_degree, c.everything_vanishes)
+        vanished, single, every = verdict
+        yield {"a": list(a), "vanished": vanished, "single_degree": single,
+               "everything_vanishes": every}
 
 
 def run_scan(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
+    """The scan report: every record of scan_records, in lex order. Records
+    with equal "vanished" lists share one list object (see scan_records)."""
     return {
         "schema": SCHEMA_VERSION,
         "command": "scan",
@@ -490,14 +498,18 @@ def report_json(doc: dict) -> str:
       when every item is such a dict, every "a" a non-empty list of type-int
       items within +-(2**63 - 1), every "everything_vanishes" of type bool,
       every "single_degree" of type int or None and every "vanished" a list
-      of type-int items. Then each record is written from one head, the repr
-      of each distinct int of the "a" lists, and the text after "a", which
-      is rendered once per distinct conclusion and ends with the next
-      record's separator and head; each record adds its "a" text and that
-      tail to one piece list, joined once. The exact types make that
-      memo exact: values that compare equal but render differently (True
-      and 1, 1.0 and 1) never reach it. A list that fails the check is
-      rendered item by item, as any other list is.
+      of type-int items; the items of a "vanished" list that several
+      records share are checked once. Then each record is written from one
+      head, the repr of each distinct int of the "a" lists, and the text
+      after "a", which is rendered once per distinct conclusion and ends
+      with the next record's separator and head; each record adds its "a"
+      text and that tail to one piece list, joined once. When records share
+      their "vanished" lists, as run_scan's do, that memo is keyed on the
+      list's identity and falls back to its content; when no two adjacent
+      records share one, as after json.loads, on the content. The exact types
+      make both keys exact: values that compare equal but render
+      differently (True and 1, 1.0 and 1) never reach the memo. A list that
+      fails the check is rendered item by item, as any other list is.
     """
     return _render(doc, "\n")
 
@@ -636,7 +648,16 @@ def _render_records(records, newline: str) -> Optional[str]:
     newline, or None when the list fails the whole-list check that
     report_json describes.
 
-    The memo of the text after "a" is keyed on (e, s, *v), which is exact
+    The text after "a" is memoised on two levels. When two adjacent
+    records share a "vanished" list object, as most of run_scan's do, the
+    first level is keyed on (e, s, id(v)), and v's items are checked on
+    each first-level miss, so once per (e, s, list object) and not once
+    per record; a miss falls back to the second level, keyed on the
+    content (e, s, *v). Otherwise, as when every record has its own list
+    after json.loads, one pass checks every item and the first level is
+    keyed on (e, s, tuple(v)). Either way a tail is rendered once per
+    distinct conclusion. The identity keys hold because column_v keeps
+    every list alive through the call, and the content keys are exact
     only once the types are: True == 1 == 1.0.
     """
     if set(map(type, records)) != _DICT_ONLY or sum(map(len, records)) != 4 * len(records):
@@ -652,11 +673,16 @@ def _render_records(records, newline: str) -> Optional[str]:
             or set(map(type, chain.from_iterable(column_a))) != _INT_ONLY
             or set(map(type, column_e)) != _BOOL_ONLY
             or not set(map(type, column_s)) <= _DEGREE_TYPES
-            or set(map(type, column_v)) != _LIST_ONLY
-            or not set(map(type, chain.from_iterable(column_v))) <= _INT_ONLY):
+            or set(map(type, column_v)) != _LIST_ONLY):
         return None
     ints = set(chain.from_iterable(column_a))
     if min(ints) < -_INT64_MAX or max(ints) > _INT64_MAX:
+        return None
+    if any(map(is_, column_v, islice(column_v, 1, None))):
+        keys = zip(column_e, column_s, map(id, column_v))
+    elif set(map(type, chain.from_iterable(column_v))) <= _INT_ONLY:
+        keys = zip(column_e, column_s, map(tuple, column_v))
+    else:
         return None
     text = dict(zip(ints, map(repr, ints))).__getitem__
     inner = newline + "  "
@@ -666,22 +692,28 @@ def _render_records(records, newline: str) -> Optional[str]:
     # each tail ends with the next record's separator and head, so a record
     # adds two pieces, its "a" text and its tail
     next_head = "," + inner + head
-    tails = {}
+    tails, texts = {}, {}
     pieces = ["[" + inner + head]
-    for a, e, s, v in zip(column_a, column_e, column_s, column_v):
-        key = (e, s, *v)
+    for a, key, v in zip(column_a, keys, column_v):
         tail = tails.get(key)
         if tail is None:
-            tail = tails[key] = (
-                field + "]," + field + '"everything_vanishes": ' + _render(e, field)
-                + "," + field + '"single_degree": ' + _render(s, field)
-                + "," + field + '"vanished": ' + _render(v, field) + inner + "}" + next_head
-            )
+            if not set(map(type, v)) <= _INT_ONLY:
+                return None
+            e, s, _ = key
+            content = (e, s, *v)
+            tail = texts.get(content)
+            if tail is None:
+                tail = texts[content] = (
+                    field + "]," + field + '"everything_vanishes": ' + _render(e, field)
+                    + "," + field + '"single_degree": ' + _render(s, field)
+                    + "," + field + '"vanished": ' + _render(v, field) + inner + "}" + next_head
+                )
+            tails[key] = tail
         pieces += (sep.join(map(text, a)), tail)
     pieces[-1] = pieces[-1][:-len(next_head)] + newline + "]"
     # the join holds the pieces and the whole text at once, the peak of the
     # call, so the columns are gone by then
-    del column_a, column_e, column_s, column_v
+    del column_a, column_e, column_s, column_v, keys
     return "".join(pieces)
 
 

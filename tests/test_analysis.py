@@ -21,6 +21,7 @@ from bottsamelson import (
     run_weights,
     vanishing_report,
 )
+from bottsamelson import analysis
 from bottsamelson.vanishing import _conclusions, _flag_keys, _sweep_bounds
 
 BASE_DOC = {
@@ -259,6 +260,81 @@ def test_scan_report_is_written_in_one_copy():
             tracemalloc.stop()
     assert peak - before <= 2.5 * len(text)
     assert text == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_scan_records_of_one_conclusion_share_their_vanished_list():
+    records = run_scan(parse_problem({
+        "cartan": {"type": "B", "rank": 3},
+        "word": [1, 2, 3, 2, 1],
+        "scan": [[-2, 2]] * 5,
+    }))["records"]
+    by_conclusion = {}
+    for rec in records:
+        conclusion = (tuple(rec["vanished"]), rec["single_degree"], rec["everything_vanishes"])
+        assert rec["vanished"] is by_conclusion.setdefault(conclusion, rec["vanished"])
+    # 17 conclusions among 3,125 records, one list object per distinct
+    # "vanished" list, and each "a" a list of its own
+    assert len(by_conclusion) == 17
+    assert len({id(rec["vanished"]) for rec in records}) == len(
+        {tuple(rec["vanished"]) for rec in records})
+    assert len({id(rec["a"]) for rec in records}) == len(records) == 3125
+
+
+def _shared_records(vanished, *conclusions):
+    """Records 1, 2, ... whose "vanished" is the one list object given."""
+    return [{"a": [k], "vanished": vanished, "single_degree": s, "everything_vanishes": e}
+            for k, (s, e) in enumerate(conclusions, 1)]
+
+
+def test_report_json_of_a_shared_list_under_two_conclusions():
+    # one list object under two single_degree values and two
+    # everything_vanishes values: three tails, so a memo keyed on the
+    # list's identity alone writes the first one three times
+    records = _shared_records([1, 2], (None, False), (0, False), (0, True), (None, False))
+    doc = {"records": records}
+    assert report_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("odd", [True, 1.0])
+def test_report_json_of_a_shared_list_that_fails_the_item_check(odd):
+    # a shared list holding True or 1.0 equals [1] but is written "true" or
+    # "1.0", so its items must be checked, and the list written item by
+    # item, though its records share one list object
+    records = _shared_records([1], (None, False), (None, False))
+    records += _shared_records([odd], (None, False), (None, False))
+    doc = {"records": records}
+    assert analysis._render_records(records, "\n") is None
+    assert report_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_fresh_vanished_lists_render_once_per_conclusion(monkeypatch):
+    # json.loads gives every record a list of its own: the tails are then
+    # memoised on the content, three _render calls per distinct
+    # conclusion, and a memo keyed on identity alone renders 3,125 tails
+    doc = run_scan(parse_problem({
+        "cartan": {"type": "B", "rank": 3},
+        "word": [1, 2, 3, 2, 1],
+        "scan": [[-2, 2]] * 5,
+    }))
+    text = report_json(doc)
+    fresh = json.loads(text)
+    records = fresh["records"]
+    assert len({id(rec["vanished"]) for rec in records}) == len(records) == 3125
+    conclusions = {(rec["everything_vanishes"], rec["single_degree"], *rec["vanished"])
+                   for rec in records}
+    calls = []
+    render = analysis._render
+
+    def counted(value, newline):
+        calls.append(value)
+        return render(value, newline)
+
+    monkeypatch.setattr(analysis, "_render", counted)
+    report_json(dict(fresh, records=[]))
+    baseline = len(calls)
+    calls.clear()
+    assert report_json(fresh) == text
+    assert len(calls) - baseline <= 3 * len(conclusions) == 51
 
 
 def test_scan_grid_cap():
