@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from operator import is_, itemgetter
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .bott import BottData, Word, _line_masks, _lock, _sign_masks, build_bott_data
+from .bott import BottData, Word, _line_masks, _sign_masks, _table, build_bott_data
 from .cech import _cech_pattern_dims, cech_table
 from .errors import BottSamelsonError, BoxTooLarge, _int, _ints
 from .rootsystem import GeneralizedCartanMatrix, _family_minimum, cartan_of_type, validate_gcm
@@ -197,22 +197,23 @@ def _alpha_summary(bott: BottData) -> dict:
     s_{l_k} for eps_k = - and the identity for eps_k = +. So every range is
     a read of the tower's directions: for each i, keep the reach, the set
     of directions reachable from beta_i^vee, as a frozenset of numbers of
-    the tower's shared table (BottData.plan.table, see bott._Directions);
-    at step j take the min and max of f_{l_j} over the reach and join the
-    reach with its image under s_{l_j}. Each step is one lookup in the
-    table's memo, shared by every tower over the same matrix and letters;
-    on a miss, the step reads the reach's members (a list for the values,
-    a set for the join) and stores the result if the reach is small. The
-    reach at step j lies inside D_{j-1}, which the tower's plan has
-    reflected by l_j, so the reads are exact for any generalized Cartan
-    matrix, and in finite type a reach never holds more than the roots.
-    The walk holds bott._lock, as the plan build does, so towers may be
-    built and summarised in several threads at once.
+    the shared table of the tower's matrix and letters (bott._table, see
+    bott._Directions); at step j take the min and max of f_{l_j} over the
+    reach and join the reach with its image under s_{l_j}. Each step is
+    one lookup in the table's memo, shared by every tower over the same
+    matrix and letters; on a miss, the step reads the reach's members (a
+    list for the values, a set for the join), reflecting any member the
+    table has not yet reflected by l_j, and stores the result if the reach
+    is small. So the reads are exact for any generalized Cartan matrix,
+    on a cold, evicted or warm table, whether or not the tower's plan was
+    built; in finite type a reach never holds more than the roots. The
+    walk is one pass of bott._table, which holds its lock, so towers may
+    be built and summarised in several threads at once.
     """
-    table, letters, n = bott.plan.table, bott.word.letters, bott.length
-    steps = [(l, table.memo[l].get) for l in letters]
+    letters, n = bott.word.letters, bott.length
     pairs = []
-    with _lock:
+    with _table(bott) as table:
+        steps = [(l, table.memo[l].get) for l in letters]
         for i in range(1, n):
             reach = table.start[letters[i - 1]]
             for j in range(i + 1, n + 1):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from _thread import allocate_lock
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -85,16 +86,9 @@ class BottData:
     @cached_property
     def plan(self) -> "_Plan":
         """The coroot directions of the word (_direction_plan), built on
-        first use and kept with the tower; not a field, so equality, hash
-        and repr do not see it."""
+        first use and kept with the tower, copies and pickles included;
+        not a field, so equality, hash and repr do not see it."""
         return _direction_plan(self)
-
-    def __getstate__(self) -> dict:
-        # the plan is a cache on this process's direction table: a copy or
-        # an unpickled tower builds its own, on the table of its process
-        state = dict(self.__dict__)
-        state.pop("plan", None)
-        return state
 
 
 def build_bott_data(gcm: GeneralizedCartanMatrix, word) -> BottData:
@@ -125,12 +119,11 @@ def build_bott_data(gcm: GeneralizedCartanMatrix, word) -> BottData:
 
 class _Plan(NamedTuple):
     """The coroot directions of a word, which the condition sweep
-    (vanishing._sweep_bounds) and the alpha summary (analysis._alpha_summary)
-    both read.
+    (vanishing._sweep_bounds) reads.
 
     Direction f is a coroot functional lambda -> <gamma, lambda>, stored as
     its values f_k = <gamma, alpha_k> on the simple roots of the word's
-    letters (every vector either reader pairs lies in their span), and
+    letters (every vector the sweep pairs lies in their span), and
     numbered in the order the tower finds it. D_i, the directions found by
     step i, is the first |D_i| of them. Per 0-based position p: size[p] =
     |D_{p+1}|, and top[p] and bottom[p] are the numbers of A[l_{p+1}] =
@@ -138,11 +131,10 @@ class _Plan(NamedTuple):
     sweep are the max and -min of <beta_{p+1}^vee, lambda>. Per letter l,
     for direction d: coef[l][d] = f_l, the value at alpha_l, and turn[l][d]
     is the number of s_l f = f - f_l A[l]. A step i of letter l fills both
-    over D_{i-1}, so they hold every direction that a reader reaches before
-    step i. table is the _Directions the tower was built from, shared with
-    every tower over the same matrix and letters and safe to share between
-    threads; the alpha summary reads its numbering and memo. The plan's
-    own lists are written only while it is built.
+    over D_{i-1}, so they hold every direction that the sweep reaches
+    before step i. The plan is plain lists in the tower's own numbering,
+    written only while it is built, so it pickles and copies with its
+    tower.
     """
 
     size: List[int]
@@ -150,64 +142,56 @@ class _Plan(NamedTuple):
     bottom: List[int]
     coef: Dict[int, List[int]]
     turn: Dict[int, List[int]]
-    table: "_Directions"
 
 
-# Bounds of the shared direction tables, for the whole cache, so that a
-# long-lived process holds a fixed amount however many matrices and words
-# it meets. At most _TABLES tables, with at most _DIRECTIONS directions in
-# all, stay cached: when a tower's build passes either bound, its table
-# leaves the cache if it alone holds more than _DIRECTIONS, and then the
-# least recently used tables leave until the rest fit. Their alpha memos
-# store only reaches of at most _MEMO_REACH members, and at most _MEMO
-# units in all, a stored step counting the members of its reach and of
-# the reach it steps to, and 8 more for its own two sets and tuple; a full
-# memo stores no more and evicts nothing.
-_TABLES = 64
-_DIRECTIONS = 4096
-_MEMO = 32768
+# The one bound of the shared direction tables, for the whole cache, so
+# that a long-lived process holds a fixed amount however many matrices and
+# words it meets. It is counted in units of about 25 bytes: a table weighs
+# 96 units for its own dicts, 9 per direction (its tuple, its entry in the
+# number dict and its reflection slots), and per stored alpha step the
+# members of its reach and of the reach it steps to, plus 8 for its own
+# two sets and tuple; only reaches of at most _MEMO_REACH members are
+# stored. When a pass leaves the cache past _BUDGET, the least recently
+# used tables leave it whole, memo included, until the rest fit.
+_BUDGET = 98304
 _MEMO_REACH = 32
 
 _tables: Dict[Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]], "_Directions"] = {}
-_held_directions = 0
-_held_memo = 0
-# held by every pass that reads or writes the cache or a table: plan
-# builds and alpha summaries
+# the units of the cached tables
+_held = 0
+# held by every pass over the cache or a table (_table)
 _lock = allocate_lock()
 
 
 class _Directions:
     """The coroot directions of one Cartan matrix over one set of letters,
-    shared by every tower over them (_direction_plan, _directions). key is
-    the letters in increasing order and rows[l], row l of the matrix on
-    those letters' columns, for each: the directions depend on nothing else.
+    shared by every tower over them (_table). key is the letters in
+    increasing order and rows[l], row l of the matrix on those letters'
+    columns, for each: the directions depend on nothing else.
 
     Direction g is the tuple vectors[g], in the coordinates of _Plan: its
     values on the simple roots of the letters, in increasing letter order,
-    so f_l is vectors[g][column[l]], and number[f] is g while the table is
-    cached (None after, when no build can use it). Per letter l, turn[l][g] is the number
-    of s_l f, or -1 while no tower has reflected it; a direction that l
-    fixes has turn g from the start. ends[l] holds the numbers of A[l] and
-    -A[l], and start[l] the reach {A[l]} that the alpha summary begins with
-    at a position of letter l.
+    so f_l is vectors[g][column[l]], and number[f] is g. Per letter l,
+    turn[l][g] is the number of s_l f, or -1 while no pass has reflected
+    it (reflect); a direction that l fixes has turn g from the start.
+    ends[l] holds the numbers of A[l] and -A[l], and start[l] the reach
+    {A[l]} that the alpha summary begins with at a position of letter l.
 
     memo[l] maps a reach (a frozenset of direction numbers) to one alpha
     summary step: the min and max of f_l over the reach, and the reach
     joined with its image under s_l (step). Each stored reach is a key of
-    its own, so a warm summary costs one dict lookup per pair. stored is
-    the memo's share of the cache's bound _MEMO, in the units set out
-    there; a table that has left the cache (cached is false) stores no
-    more.
+    its own, so a warm summary costs one dict lookup per pair. units is
+    the table's weight in the cache's budget, in the units set out at
+    _BUDGET.
 
-    Thread safety: every reader and writer of a table holds the module's
-    _lock: _direction_plan while it builds a tower, and the alpha summary
-    (analysis._alpha_summary) while it walks the memo and calls step. So
-    towers built and summarised in several threads share a table safely.
-    The condition sweep reads only the plan's own lists.
+    A table is only reached through _table, which holds the module's _lock
+    for the whole pass, so towers built and summarised in several threads
+    share a table safely. The condition sweep reads only the plan's own
+    lists.
     """
 
     __slots__ = ("key", "rows", "column", "vectors", "number", "turn", "ends", "start",
-                 "memo", "stored", "cached")
+                 "memo", "units")
 
     def __init__(self, key: Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]):
         keys, rows = key
@@ -218,8 +202,7 @@ class _Directions:
         self.column = {l: k for k, l in enumerate(keys)}
         self.turn: Dict[int, List[int]] = {l: [] for l in keys}
         self.memo: Dict[int, dict] = {l: {} for l in keys}
-        self.stored = 0
-        self.cached = True
+        self.units = 96
         self.ends = {
             l: (self.add(row), self.add(tuple([-x for x in row]))) for l, row in self.rows.items()
         }
@@ -230,55 +213,71 @@ class _Directions:
         g = self.number.setdefault(f, len(self.vectors))
         if g == len(self.vectors):
             self.vectors.append(f)
+            self.units += 9
             for turn, c in zip(self.turn.values(), f):
                 turn.append(-1 if c else g)
         return g
 
+    def reflect(self, l: int, g: int) -> int:
+        """The number of s_l f = f - f_l A[l] for direction g. The first
+        pass that asks numbers it and records both turns, since s_l is an
+        involution; later ones read turn[l]."""
+        turn = self.turn[l]
+        t = turn[g]
+        if t < 0:
+            f = self.vectors[g]
+            c = f[self.column[l]]
+            t = turn[g] = self.add(tuple([x - c * y for x, y in zip(f, self.rows[l])]))
+            turn[t] = g
+        return t
+
     def step(self, l: int, reach: frozenset) -> Tuple[int, int, frozenset]:
-        """One alpha summary step of letter l from a reach of directions that
-        l has reflected and that memo[l] lacks, read off the reach's members
-        and stored in memo[l] if the reach is small and the cache's memos
-        have room. Call it with _lock held."""
-        global _held_memo
-        vectors, at = self.vectors, self.column[l]
+        """One alpha summary step of letter l from a reach that memo[l]
+        lacks, read off the reach's members (reflecting those that no pass
+        has reflected by l yet) and stored in memo[l] if the reach is
+        small."""
+        vectors, at, turn = self.vectors, self.column[l], self.turn[l]
         values = [vectors[g][at] for g in reach]
-        grown = reach.union(map(self.turn[l].__getitem__, reach))
+        images = list(map(turn.__getitem__, reach))
+        if -1 in images:
+            images = [t if t >= 0 else self.reflect(l, g) for g, t in zip(reach, images)]
+        grown = reach.union(images)
         out = (min(values), max(values), reach if len(grown) == len(reach) else grown)
-        if len(reach) <= _MEMO_REACH and self.cached:
-            cost = len(reach) + len(grown) + 8
-            if _held_memo + cost <= _MEMO:
-                self.memo[l][reach] = out
-                self.stored += cost
-                _held_memo += cost
+        if len(reach) <= _MEMO_REACH:
+            self.memo[l][reach] = out
+            self.units += len(reach) + len(grown) + 8
         return out
 
 
-def _directions(gcm: GeneralizedCartanMatrix, keys: Tuple[int, ...]) -> _Directions:
-    """The cached table of the letters keys of gcm, made and cached fresh
-    when there is none; it becomes the most recently used. Call it with
-    _lock held."""
-    global _held_directions
-    entries = gcm.entries
+@contextmanager
+def _table(bott: BottData) -> Iterator[_Directions]:
+    """The shared direction table of the tower's matrix and letters, for
+    one pass: the only way into the cache. It holds _lock for the pass,
+    makes the table (fresh if none is cached) the most recently used, and
+    when the pass ends adds the table's growth to _held, then evicts the
+    least recently used tables, the one just used last of all, until
+    _held is within _BUDGET. A pass cut short by an exception (a
+    deadline, say) takes its table out of the cache instead, since the
+    table may hold a number without its direction."""
+    global _held
+    entries = bott.gcm.entries
+    keys = tuple(sorted(set(bott.word.letters)))
     key = (keys, tuple([tuple([entries[l - 1][k - 1] for k in keys]) for l in keys]))
-    table = _tables.pop(key, None)
-    if table is None:
-        table = _Directions(key)
-        _held_directions += len(table.vectors)
-    _tables[key] = table
-    return table
-
-
-def _release(table: _Directions) -> None:
-    """Take table out of the cache and its directions and memo out of the
-    bounds; a tower that holds it reads on, but its memo stops growing.
-    No build runs on it again, so its number index goes. Call it with
-    _lock held."""
-    global _held_directions, _held_memo
-    del _tables[table.key]
-    table.cached = False
-    table.number = None
-    _held_directions -= len(table.vectors)
-    _held_memo -= table.stored
+    with _lock:
+        table = _tables.pop(key, None)
+        held = 0 if table is None else table.units
+        if table is None:
+            table = _Directions(key)
+        _tables[key] = table
+        try:
+            yield table
+        except BaseException:
+            del _tables[key]
+            _held -= held
+            raise
+        _held += table.units - held
+        while _held > _BUDGET:
+            _held -= _tables.pop(next(iter(_tables))).units
 
 
 def _direction_plan(bott: BottData) -> _Plan:
@@ -291,69 +290,48 @@ def _direction_plan(bott: BottData) -> _Plan:
     builds it once per tower.
 
     The pass runs on the shared table of the tower's matrix and letters
-    (_directions): ids[d] is the table number of the tower's direction d,
-    and local[g] the tower's number of table direction g, or -1 until the
+    (_table): ids[d] is the table number of the tower's direction d, and
+    local[g] the tower's number of table direction g, or -1 until the
     tower finds it. A reflection the table holds is a list read; only one
-    that no tower has made yet builds a tuple, and its image under the same
-    letter is recorded too, since s_l is an involution. A tower's number
-    for a direction it finds is len(ids); where that equals the table's
-    number (as in a tower that fills a fresh table), the plan stores the
-    table's int object instead of a second, equal one, which keeps about
-    0.4 MB off the peak RSS at N = 40.
-
-    When the pass takes the cache past its bounds, tables leave it as set
-    out at _TABLES; a tower keeps its table either way. A pass cut short
-    by an exception (a deadline, say) takes its table out of the cache,
-    so no later tower reads a half-written direction. The pass holds
-    _lock, so threads may build towers over one matrix at the same time.
+    that no pass has made yet goes through _Directions.reflect. A tower's
+    number for a direction it finds is len(ids); where that equals the
+    table's number (as in a tower that fills a fresh table), the plan
+    stores the table's int object instead of a second, equal one, which
+    keeps about 0.4 MB off the peak RSS at N = 40.
     """
-    global _held_directions
     letters = bott.word.letters
-    keys = tuple(sorted(set(letters)))
-    with _lock:
-        table = _directions(bott.gcm, keys)
+    with _table(bott) as table:
+        keys = table.key[0]
         vectors, ids = table.vectors, []
-        before = len(vectors)
-        plan = _Plan([], [], [], {l: [] for l in keys}, {l: [] for l in keys}, table)
-        local, done = [-1] * before, False
-        try:
-            for l in letters:
-                coef, turn, row = plan.coef[l], plan.turn[l], table.rows[l]
-                at, table_turn = table.column[l], table.turn[l]
-                for j in range(len(coef), len(ids)):
-                    g = ids[j]
-                    c = vectors[g][at]
-                    coef.append(c)
-                    if c:  # else s_l f = f, number j
-                        t = table_turn[g]
-                        if t < 0:
-                            t = table_turn[g] = table.add(
-                                tuple([x - c * y for x, y in zip(vectors[g], row)]))
-                            table_turn[t] = g
-                            if t == len(local):
-                                local.append(-1)
-                        j = local[t]
-                        if j < 0:
-                            j = len(ids)
-                            j = local[t] = t if j == t else j  # t's int object
-                            ids.append(t)
-                    turn.append(j)
-                for g, ends in zip(table.ends[l], (plan.top, plan.bottom)):
-                    j = local[g]
+        plan = _Plan([], [], [], {l: [] for l in keys}, {l: [] for l in keys})
+        local = [-1] * len(vectors)
+        for l in letters:
+            coef, turn = plan.coef[l], plan.turn[l]
+            at, table_turn = table.column[l], table.turn[l]
+            for j in range(len(coef), len(ids)):
+                g = ids[j]
+                c = vectors[g][at]
+                coef.append(c)
+                if c:  # else s_l f = f, number j
+                    t = table_turn[g]
+                    if t < 0:
+                        t = table.reflect(l, g)
+                        if t == len(local):
+                            local.append(-1)
+                    j = local[t]
                     if j < 0:
                         j = len(ids)
-                        j = local[g] = g if j == g else j  # g's int object
-                        ids.append(g)
-                    ends.append(j)
-                plan.size.append(len(ids))
-            done = True
-        finally:
-            _held_directions += len(vectors) - before
-            # a pass cut short may leave a number without its direction
-            if len(vectors) > _DIRECTIONS or not done:
-                _release(table)
-            while _held_directions > _DIRECTIONS or len(_tables) > _TABLES:
-                _release(next(iter(_tables.values())))
+                        j = local[t] = t if j == t else j  # t's int object
+                        ids.append(t)
+                turn.append(j)
+            for g, ends in zip(table.ends[l], (plan.top, plan.bottom)):
+                j = local[g]
+                if j < 0:
+                    j = len(ids)
+                    j = local[g] = g if j == g else j  # g's int object
+                    ids.append(g)
+                ends.append(j)
+            plan.size.append(len(ids))
     return plan
 
 

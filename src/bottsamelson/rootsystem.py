@@ -19,15 +19,16 @@ alpha_l^vee. These functionals and reflections belong to the Weyl group
 of the matrix, not to one word, so they are stored once per matrix and
 set of letters, in a private table (bott._Directions) that every tower
 over that matrix in the process shares: it numbers each direction once,
-records each reflection s_l f as a direction number, and memoises the
-steps of the alpha summary. The cache of tables is bounded as a whole
-(at most 64 tables and 4,096 directions; bott._TABLES sets out the rest)
-and safe to share between threads. The
-tower's direction plan (bott._direction_plan), built once per tower from
-table lookups, holds the rows of the word's letters and their images
-under the letters' reflections, taken in word order, in the tower's own
-numbering; the condition sweep (vanishing._sweep_bounds) and the alpha
-summary (analysis._alpha_summary) both read it. When the matrix is
+records each reflection s_l f as a direction number when a pass first
+needs it, and memoises the steps of the alpha summary. The cache of
+tables has one budget for the whole of it (bott._BUDGET, about 7.5 MB
+at worst), evicts least recently used tables whole, and is safe to share
+between threads. The tower's direction plan (bott._direction_plan),
+built once per tower from table lookups, holds the rows of the word's
+letters and their images under the letters' reflections, taken in word
+order, in the tower's own numbering; the condition sweep
+(vanishing._sweep_bounds) reads it, and the alpha summary
+(analysis._alpha_summary) reads the table. When the matrix is
 singular, coroots that differ by an element of its left kernel (in affine
 type, a multiple of the null coroot) give the same functional and are
 stored once.

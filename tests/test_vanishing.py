@@ -171,10 +171,17 @@ def _certify_report(text):
 
 
 def _empty_cache():
-    # release every cached table, so the cache's counts drop with them
+    # drop every cached table, and its units with it
     with bott_module._lock:
-        for table in list(bott_module._tables.values()):
-            bott_module._release(table)
+        bott_module._tables.clear()
+        bott_module._held = 0
+
+
+def _cached(bott):
+    # the cache key of the tower's matrix and letters, as bott._table makes it
+    keys = tuple(sorted(set(bott.word.letters)))
+    rows = bott.gcm.entries
+    return (keys, tuple(tuple(rows[l - 1][k - 1] for k in keys) for l in keys))
 
 
 def test_reports_do_not_depend_on_the_order_towers_meet_the_table():
@@ -193,72 +200,124 @@ def test_reports_do_not_depend_on_the_order_towers_meet_the_table():
 
 
 def test_the_table_bounds_are_fixed():
-    assert (bott_module._TABLES, bott_module._DIRECTIONS,
-            bott_module._MEMO, bott_module._MEMO_REACH) == (64, 4096, 32768, 32)
+    assert (bott_module._BUDGET, bott_module._MEMO_REACH) == (98304, 32)
 
 
 def _cache_within_bounds():
-    tables = list(bott_module._tables.values())
-    assert len(tables) <= bott_module._TABLES
-    assert all(table.cached for table in tables)
-    directions = sum(len(table.vectors) for table in tables)
-    assert directions == bott_module._held_directions <= bott_module._DIRECTIONS
     units = 0
-    for table in tables:
+    for table in bott_module._tables.values():
         steps = [(reach, out) for memo in table.memo.values() for reach, out in memo.items()]
         assert all(len(reach) <= bott_module._MEMO_REACH for reach, _ in steps)
-        # a step counts its reach, the reach it steps to, and 8 for itself
-        assert sum(len(reach) + len(out[2]) + 8 for reach, out in steps) == table.stored
-        units += table.stored
-    assert units == bott_module._held_memo <= bott_module._MEMO
+        # a table weighs 96 units, 9 per direction, and per stored step
+        # its reach, the reach it steps to, and 8 for itself
+        assert table.units == 96 + 9 * len(table.vectors) + sum(
+            len(reach) + len(out[2]) + 8 for reach, out in steps)
+        units += table.units
+    assert units == bott_module._held <= bott_module._BUDGET
 
 
 def test_tables_and_memos_stay_within_their_bounds():
-    # a table past the direction bound leaves the cache when its tower is
-    # built, and the next tower over the matrix starts a fresh one
+    # a table that takes the cache past its budget leaves it whole, memo
+    # included, and the next tower over the matrix starts a fresh one
     rng = random.Random(300)
     _empty_cache()
-    table, tables, memo = None, 0, 0
+    table, tables, held = None, 0, 0
     for _ in range(300):
         bott = build_bott_data(INDEFINITE, random_word(rng, 3, rng.randint(20, 26)))
         _alpha_summary(bott)
-        if bott.plan.table is not table:
-            table, tables = bott.plan.table, tables + 1
-        memo = max(memo, bott_module._held_memo)
+        if bott_module._tables.get(_cached(bott)) is not table:
+            table, tables = bott_module._tables.get(_cached(bott)), tables + 1
+        held = max(held, bott_module._held)
         _cache_within_bounds()
-    assert tables > 1  # the bound was reached, and a fresh table made
-    assert memo > bott_module._MEMO - 100  # and the memo filled
-    # one tower past the bound on its own: its table is never cached
+    assert tables > 1  # the budget was reached, and a fresh table made
+    assert held > bott_module._BUDGET // 2
+    # one tower past the budget on its own: its table is never cached
+    _empty_cache()
     bott = build_bott_data(INDEFINITE, random_word(random.Random(40), 3, 40))
-    assert len(bott.plan.table.vectors) > bott_module._DIRECTIONS
-    assert not bott.plan.table.cached
-    assert bott.plan.table not in bott_module._tables.values()
+    assert 9 * bott.plan.size[-1] > bott_module._BUDGET
+    assert bott_module._tables == {}
     _cache_within_bounds()
-    # least recently used tables leave first, past the table bound ...
-    for k in range(80):
-        gcm = validate_gcm([[2, -1 - k], [-1, 2]])
+    # least recently used tables leave first, whole ...
+    gcms = [validate_gcm([[2, -1 - k], [-1, 2]]) for k in range(600)]
+    for gcm in gcms:
         _alpha_summary(build_bott_data(gcm, (1, 2, 1, 2)))
         _cache_within_bounds()
-    assert [key[1][0][1] for key in bott_module._tables] == [-1 - k for k in range(16, 80)]
-    # ... and past the direction bound, which two matrices' tables pass
-    # together (2,634 and 2,016 directions) but not one alone
-    first = build_bott_data(INDEFINITE, random_word(random.Random(30), 3, 30))
-    second = build_bott_data(validate_gcm([[2, -3, -1], [-2, 2, -2], [-1, -1, 2]]),
-                             random_word(random.Random(6), 3, 26))
-    _alpha_summary(first)
-    assert first.plan.table.cached
-    _alpha_summary(second)
-    assert list(bott_module._tables.values()) == [second.plan.table]
-    assert not first.plan.table.cached
+    firsts = [-1 - key[1][0][1] for key in bott_module._tables]
+    oldest = firsts[0]
+    assert oldest > 0 and firsts == list(range(oldest, 600))
+    # ... and a table used again becomes the most recently used
+    _alpha_summary(build_bott_data(gcms[oldest], (2, 1, 2, 1)))
+    _alpha_summary(build_bott_data(validate_gcm([[2, -700], [-1, 2]]), (1, 2, 1, 2)))
+    firsts = [-1 - key[1][0][1] for key in bott_module._tables]
+    assert firsts[-2:] == [oldest, 699] and oldest + 1 not in firsts
     _cache_within_bounds()
+
+
+def test_a_matrix_met_late_still_gets_a_memo(monkeypatch):
+    # indefinite rank-3 towers over two matrices fill the cache until the
+    # budget evicts a table; D4 towers met after them must still store and
+    # hit their own alpha steps (with memos kept first come, first served,
+    # the full memo left D4 none, and every step missed)
+    rng = random.Random(57)
+    gcms = [INDEFINITE, validate_gcm([[2, -3, -1], [-2, 2, -1], [-1, -1, 2]])]
+    _empty_cache()
+    seen = []
+    for k in range(3000):
+        _alpha_summary(build_bott_data(gcms[k % 2], random_word(rng, 3, rng.randint(11, 14))))
+        tables = list(bott_module._tables.values())
+        seen += [table for table in tables if table not in seen]
+        if any(table not in tables for table in seen):
+            break
+    misses, step = [], bott_module._Directions.step
+
+    def counted(self, l, reach):
+        misses.append(l)
+        return step(self, l, reach)
+
+    monkeypatch.setattr(bott_module._Directions, "step", counted)
+    d4, steps = cartan_of_type("D", 4), 0
+    for _ in range(500):
+        n = rng.randint(11, 14)
+        _alpha_summary(build_bott_data(d4, random_word(rng, 4, n)))
+        steps += n * (n - 1) // 2
+    assert len(misses) < steps / 10
+
+
+@pytest.mark.parametrize("gcm", [INDEFINITE, SINGULAR_GCMS["A2^(1)"]],
+                         ids=["indefinite_rank3", "A2^(1)"])
+def test_the_alpha_walk_reflects_what_its_table_lacks(gcm):
+    # the walk reflects any member its table has not reflected by the
+    # step's letter, so it is exact on a cold table with no plan built,
+    # and on a table that left the cache between the plan and the walk
+    rng = random.Random(58)
+    for n in (6, 9):
+        word = random_word(rng, gcm.n, n)
+        _empty_cache()
+        bott = build_bott_data(gcm, word)
+        pairs = _alpha_summary(bott)["pairs"]
+        assert "plan" not in vars(bott)
+        for pair in pairs:
+            i, j = pair["i"], pair["j"]
+            values = [
+                alpha_reflect(bott, i, j, (1,) * i + s + (1,) * (n - j + 1))
+                for s in all_sign_vectors(j - i - 1)
+            ]
+            assert (pair["min"], pair["max"]) == (min(values), max(values))
+        _empty_cache()
+        bott = build_bott_data(gcm, word)
+        assert bott.plan.size
+        _empty_cache()
+        assert _alpha_summary(bott)["pairs"] == pairs
+        _cache_within_bounds()
 
 
 def test_a_build_cut_short_leaves_its_table_out_of_the_cache(monkeypatch):
-    # an exception inside a plan build (a deadline, say) may fall between
-    # numbering a direction and storing it, so that table is not reused;
-    # the other tables stay
+    # an exception inside a pass over a table (a deadline, say) may fall
+    # between numbering a direction and storing it, so that table is not
+    # reused; the other tables stay
     _empty_cache()
-    a3 = build_bott_data(cartan_of_type("A", 3), (1, 2, 3, 2, 1)).plan.table
+    _alpha_summary(build_bott_data(cartan_of_type("A", 3), (1, 2, 3, 2, 1)))
+    a3 = list(bott_module._tables.items())
     add, calls = bott_module._Directions.add, []
 
     def cut(self, f):
@@ -271,22 +330,45 @@ def test_a_build_cut_short_leaves_its_table_out_of_the_cache(monkeypatch):
     word = random_word(random.Random(26), 3, 26)
     with pytest.raises(TimeoutError):
         build_bott_data(INDEFINITE, word).plan
-    assert list(bott_module._tables.values()) == [a3]
+    assert list(bott_module._tables.items()) == a3
     _cache_within_bounds()
     monkeypatch.undo()
     bott = build_bott_data(INDEFINITE, word)
-    assert len(bott.plan.table.vectors) == bott.plan.size[-1] == 1338
+    assert bott.plan.size[-1] == 1338
+    assert len(bott_module._tables[_cached(bott)].vectors) == 1338
+    _cache_within_bounds()
+    summary = _alpha_summary(bott)
+    # an alpha walk cut short inside a reflection, on a tower with no plan
+    reflect, calls = bott_module._Directions.reflect, []
+
+    def cut_reflect(self, l, g):
+        calls.append(g)
+        if len(calls) == 40:
+            raise TimeoutError
+        return reflect(self, l, g)
+
+    monkeypatch.setattr(bott_module._Directions, "reflect", cut_reflect)
+    _empty_cache()
+    _alpha_summary(build_bott_data(cartan_of_type("A", 3), (1, 2, 3, 2, 1)))
+    a3 = list(bott_module._tables.items())
+    with pytest.raises(TimeoutError):
+        _alpha_summary(build_bott_data(INDEFINITE, word))
+    assert len(calls) == 40
+    assert list(bott_module._tables.items()) == a3
+    _cache_within_bounds()
+    monkeypatch.undo()
+    assert _alpha_summary(build_bott_data(INDEFINITE, word)) == summary
     _cache_within_bounds()
 
 
-def test_a_tower_pickles_and_copies_without_its_plan():
-    # the plan holds this process's shared table; a copy of the tower
-    # rebuilds its own and reports the same
+def test_a_tower_pickles_and_copies_with_its_plan():
+    # the plan is plain lists in the tower's own numbering: a copy of the
+    # tower carries it and reports the same, on a warm table or a cold one
     bott = build_bott_data(INDEFINITE, (1, 2, 3, 1, 3, 2, 1, 2, 3, 3, 1))
     a = (1, -2, 0, 3, -1, 2, 0, 1, -3, 2, 1)
     profile, summary = condition_profile(bott, a), _alpha_summary(bott)
     for copy_ in (pickle.loads(pickle.dumps(bott)), copy.deepcopy(bott), copy.copy(bott)):
-        assert copy_ == bott and "plan" not in vars(copy_)
+        assert copy_ == bott and vars(copy_)["plan"] == bott.plan
         assert condition_profile(copy_, a) == profile
         assert _alpha_summary(copy_) == summary
     _empty_cache()
@@ -317,11 +399,10 @@ def test_towers_built_in_threads_share_a_table_safely():
     for text, bott in zip(texts, towers):
         _empty_cache()
         fresh.append(_certify_report(text))
-        fresh_plans.append(_direction_plan(bott)[:5])
+        fresh_plans.append(_direction_plan(bott))
     _empty_cache()
-    with bott_module._lock:
-        table = bott_module._directions(INDEFINITE, (1, 2, 3))
-    table.vectors = _YieldingList(table.vectors)
+    with bott_module._table(towers[0]) as table:
+        table.vectors = _YieldingList(table.vectors)
     reports, plans = {}, {}
 
     # the plan is built straight from _direction_plan as well, since
@@ -330,7 +411,7 @@ def test_towers_built_in_threads_share_a_table_safely():
     # table's, so each plan must equal its fresh one
     def work(start):
         for k in range(start, len(texts), 4):
-            plans[k] = _direction_plan(towers[k])[:5]
+            plans[k] = _direction_plan(towers[k])
             reports[k] = _certify_report(texts[k])
 
     interval = sys.getswitchinterval()
