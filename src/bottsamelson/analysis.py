@@ -26,7 +26,7 @@ from operator import is_, itemgetter
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .bott import BottData, Word, _line_masks, _sign_masks, _table, build_bott_data
-from .cech import _cech_pattern_dims, cech_table
+from .cech import _cech_counts_table, _cech_dim, _cech_pattern_dims
 from .errors import BottSamelsonError, BoxTooLarge, _int, _ints
 from .rootsystem import GeneralizedCartanMatrix, _family_minimum, cartan_of_type, validate_gcm
 from .simplicial import _demazure_pattern
@@ -387,29 +387,34 @@ def run_scan(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
 def run_oracle(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
     """Three-way comparison: closed form vs simplicial vs Cech.
 
-    One sign-pattern sweep of the box gives both the closed-form table
-    (what cohomology_table answers) and the simplicial one; the Cech table
-    sweeps the box and its shell. The per-weight scan of the closed form,
-    which never calls the sweep, is the reference reported as
-    "closed_form", so "agree" requires scan = sweep = simplicial = Cech
-    and a defect in the sweep shows as a disagreement too.
+    One sign-pattern sweep of the box and its one-layer shell gives the
+    closed-form table (the sweep's), the simplicial one and the Cech one.
+    The per-weight scan of the closed form over the box alone, which never
+    calls the sweep, is the reference reported as "closed_form", so
+    "agree" requires scan = sweep = simplicial = Cech: a defect in the
+    sweep shows as a disagreement, and so does a box that misses a
+    contributing weight, since shell weights must contribute nothing.
 
-    On disagreement the result also carries the closed form summed over
-    the sweep's counts, under "closed_form_sweep", so a sweep defect that
-    every sweep-based table shares shows as closed_form_sweep = simplicial
-    = cech != closed_form; and, under "first_mismatch", the
-    lexicographically first weight whose per-weight routes differ or whose
-    signs from bott._line_masks differ from bott._sign_masks, if any. The
-    caller maps a disagreement to exit code 4.
+    On disagreement a second sweep counts the box alone, and the closed
+    form summed over its counts, the table cohomology_table answers, is
+    reported under "closed_form_sweep". A box defect then shows as
+    closed_form = closed_form_sweep != simplicial = cech, and a sweep
+    defect that every sweep-based table shares as closed_form_sweep =
+    simplicial = cech != closed_form. Under "first_mismatch" comes the
+    lexicographically first weight of the box and shell whose per-weight
+    routes differ or whose signs from bott._line_masks differ from
+    bott._sign_masks, if any. The caller maps a disagreement to exit
+    code 4.
     """
     bott = spec.bott()
     divisor = spec.divisor()
-    cech = cech_table(bott, divisor, cap=cap)  # first: it refuses towers past CECH_MAX_DIM
+    n = _cech_dim(bott)  # first: towers past CECH_MAX_DIM are refused before any box
     box = _checked_box(bott, divisor, cap)
     closed = _scan_table(bott, divisor, box, collect_witnesses=False)
-    counts = _box_counts(bott, divisor, box)
-    swept = _pattern_table(bott.length, counts, _closed_pattern)
-    simplicial = _pattern_table(bott.length, counts, _demazure_pattern)
+    counts = _box_counts(bott, divisor, box.enlarged())  # the box and its shell
+    swept = _pattern_table(n, counts, _closed_pattern)
+    simplicial = _pattern_table(n, counts, _demazure_pattern)
+    cech = _cech_counts_table(n, counts)
     agree = closed.dims == swept.dims == simplicial.dims == cech.dims
 
     doc = {
@@ -422,6 +427,7 @@ def run_oracle(spec: ProblemSpec, cap: int = DEFAULT_BOX_CAP) -> dict:
         "agree": agree,
     }
     if not agree:
+        swept = _pattern_table(n, _box_counts(bott, divisor, box), _closed_pattern)
         doc["closed_form_sweep"] = {"dims": list(swept.dims), "euler": swept.euler}
         doc.update(_first_mismatch(bott, divisor, box.enlarged()))
     return doc

@@ -25,7 +25,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from operator import mul
 from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
@@ -241,7 +241,7 @@ class _Directions:
         images = list(map(turn.__getitem__, reach))
         if -1 in images:
             images = [t if t >= 0 else self.reflect(l, g) for g, t in zip(reach, images)]
-        grown = reach.union(images)
+        grown = frozenset(chain(reach, images))
         out = (min(values), max(values), reach if len(grown) == len(reach) else grown)
         if len(reach) <= _MEMO_REACH:
             self.memo[l][reach] = out

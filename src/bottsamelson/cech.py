@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .bott import BottData, SignVector, _weight_masks, all_sign_vectors
 from .errors import IndexOutOfRange, TooLarge
@@ -170,4 +170,11 @@ def cech_table(
     in the box construction would surface here)."""
     n = _cech_dim(bott)
     box = _checked_box(bott, divisor, cap).enlarged()  # the box and its shell
-    return _pattern_table(n, _box_counts(bott, divisor, box), partial(_cech_pattern_dims, n))
+    return _cech_counts_table(n, _box_counts(bott, divisor, box))
+
+
+def _cech_counts_table(n: int, counts: Mapping[Tuple[int, int], int]) -> CohomologyTable:
+    """The Cech table from a sweep's weight counts per sign pattern.
+    cech_table and run_oracle (over the count it shares with its other
+    tables) both read the Cech rule from this module through it."""
+    return _pattern_table(n, counts, partial(_cech_pattern_dims, n))

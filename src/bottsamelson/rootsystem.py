@@ -21,7 +21,7 @@ set of letters, in a private table (bott._Directions) that every tower
 over that matrix in the process shares: it numbers each direction once,
 records each reflection s_l f as a direction number when a pass first
 needs it, and memoises the steps of the alpha summary. The cache of
-tables has one budget for the whole of it (bott._BUDGET, about 7.5 MB
+tables has one budget for the whole of it (bott._BUDGET, about 6.1 MB
 at worst), evicts least recently used tables whole, and is safe to share
 between threads. The tower's direction plan (bott._direction_plan),
 built once per tower from table lookups, holds the rows of the word's

@@ -152,6 +152,39 @@ def test_a_disagreeing_oracle_reports_the_closed_form_over_the_sweep(monkeypatch
     assert "closed form over the sign-pattern sweep: (0, 0, 0)" in result.output
 
 
+def test_an_agreeing_oracle_sweeps_once(monkeypatch):
+    # one count of the box and its shell serves the sweep's closed form,
+    # the simplicial and the Cech tables; the box alone is swept again only
+    # on disagreement
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _sign_pattern_counts(*args)
+
+    monkeypatch.setattr(toric, "_sign_pattern_counts", counted)
+    doc = json.dumps({"cartan": {"type": "A", "rank": 2}, "word": [1, 2], "divisor": [2, 1]})
+    assert run_oracle(load_problem(doc))["agree"] is True
+    assert len(calls) == 1
+
+
+def test_oracle_catches_a_box_that_misses_a_weight(monkeypatch):
+    # the scan and the box's own sweep see only the short box; the tables
+    # of the box and its shell still see the weights it misses
+    def short(bott, divisor):
+        box = weight_box(bott, divisor)
+        return toric.WeightBox(lo=box.lo, hi=(*box.hi[:-1], box.hi[-1] - 1))
+
+    doc = json.dumps({"cartan": {"type": "A", "rank": 2}, "word": [1, 2], "divisor": [2, 1]})
+    monkeypatch.setattr(toric, "weight_box", short)
+    out = run_oracle(load_problem(doc))
+    assert out["agree"] is False
+    assert out["closed_form"] == out["closed_form_sweep"] == {"dims": [2, 0, 0], "euler": 2}
+    assert out["simplicial"] == out["cech"] == {"dims": [5, 0, 0], "euler": 5}
+    result = CliRunner().invoke(cli.main, ["oracle", "-"], input=doc)
+    assert result.exit_code == 4
+
+
 def _flip_one_bit(line_masks, weight):
     """The enumerator with bad_plus bit 1 flipped at one weight."""
     def flipped(bott, divisor, lo, hi):
