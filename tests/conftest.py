@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random generators for matrices, words, divisors.
+"""Shared helpers: seeded random generators for matrices, words, divisors,
+and an in-process runner for the command line.
 
 Every randomized test seeds its own Random instance, so the suite is fully
 deterministic run to run.
@@ -7,11 +8,13 @@ deterministic run to run.
 from __future__ import annotations
 
 import importlib.util
+import io
 import random
 import signal
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Tuple
 
 import pytest
@@ -115,6 +118,43 @@ def hard_deadline(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+class _Capture(io.StringIO):
+    """A text stream that also copies each write to a shared one, so stdout
+    and stderr can be read apart and interleaved."""
+
+    def __init__(self, shared: io.StringIO):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text: str) -> int:
+        self.shared.write(text)
+        return super().write(text)
+
+
+def run_cli(args, stdin: str | bytes | None = None) -> SimpleNamespace:
+    """Run `bottsamelson ARGS` in this process with stdin from a str or
+    bytes, read through a strict UTF-8 text stream. The result carries
+    exit_code, stdout, stderr and output (both streams, interleaved)."""
+    from bottsamelson import cli
+
+    data = stdin.encode("utf-8") if isinstance(stdin, str) else stdin or b""
+    shared = io.StringIO()
+    out, err = _Capture(shared), _Capture(shared)
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+    sys.stdout, sys.stderr = out, err
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    if not isinstance(code, int):
+        code = 0 if code is None else 1
+    return SimpleNamespace(exit_code=code, output=shared.getvalue(),
+                           stdout=out.getvalue(), stderr=err.getvalue())
 
 
 @pytest.fixture(scope="session")

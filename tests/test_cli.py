@@ -1,14 +1,17 @@
+import copy
 import json
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import bottsamelson
 import bottsamelson.analysis as analysis
 import bottsamelson.cech as cech
 import bottsamelson.cli as cli
+from conftest import run_cli
 
 PROBLEM_DOC = json.dumps({
     "cartan": {"type": "A", "rank": 3},
@@ -21,10 +24,11 @@ MIXED = json.dumps({
     "divisor": [-1, -1, 1, 0],
 })
 LINE = json.dumps({"cartan": [[2]], "word": [1], "divisor": [-2]})
+PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 
 
 def run(args, stdin=None):
-    return CliRunner().invoke(cli.main, args, input=stdin)
+    return run_cli(args, stdin)
 
 
 def test_analyze_text_output():
@@ -135,7 +139,7 @@ def test_default_cap_refuses_a_box_just_over_two_million_points():
 
 
 def test_scan_cap_error_names_the_scan_grid():
-    path = Path(__file__).parent.parent / "demos" / "problems" / "scan_surface.json"
+    path = PROBLEMS / "scan_surface.json"
     result = run(["scan", "--cap", "10", str(path)])
     assert result.exit_code == 3
     assert result.stderr == (
@@ -283,6 +287,45 @@ def test_undecodable_bytes_are_an_input_error(tmp_path):
     path.write_bytes(b"\xff" + PROBLEM_DOC.encode())
     _assert_input_error(run(["analyze", str(path)]))
     _assert_input_error(run(["analyze", "-"], stdin=b"\xff" + PROBLEM_DOC.encode()))
+
+
+DEMOS = {path.name: json.loads(path.read_text()) for path in sorted(PROBLEMS.glob("*.json"))}
+DROP = "drop"
+
+
+def _paths(node, path=()):
+    """The path of every entry below the document root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_demos(draw):
+    """A demo problem with one key dropped, or one value swapped for a float,
+    a bool, a string, None or a huge int."""
+    doc = copy.deepcopy(DEMOS[draw(st.sampled_from(sorted(DEMOS)))])
+    *head, last = draw(st.sampled_from(list(_paths(doc))))
+    parent = reduce(lambda node, key: node[key], head, doc)
+    changes = [1.5, True, "1", None, 10**40] + ([DROP] if isinstance(parent, dict) else [])
+    change = draw(st.sampled_from(changes))
+    if change == DROP:
+        del parent[last]
+    else:
+        parent[last] = change
+    return json.dumps(doc)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(doc=mutated_demos())
+def test_every_command_keeps_the_exit_code_contract_on_mutated_demos(doc):
+    for command in ("analyze", "toric", "weights", "scan", "oracle"):
+        result = run([command, "--cap", "20000", "-"], stdin=doc)
+        assert result.exit_code in (0, 2, 3, 4), (command, doc, result.output)
+        if result.exit_code:
+            assert result.stderr.startswith("error: "), (command, doc, result.output)
+            assert "Traceback" not in result.output, (command, doc)
 
 
 @pytest.fixture

@@ -11,11 +11,9 @@ import json
 from itertools import chain
 
 import pytest
-from click.testing import CliRunner
 
 import bottsamelson.analysis as analysis
 import bottsamelson.bott as bott_module
-import bottsamelson.cli as cli
 import bottsamelson.toric as toric
 from bottsamelson import (
     ToricDivisor,
@@ -34,7 +32,7 @@ from bottsamelson import (
 )
 from bottsamelson.bott import _line_masks, _sign_pattern_counts
 from bottsamelson.toric import _scan_table
-from conftest import bench_workloads
+from conftest import bench_workloads, run_cli
 
 ORACLE_PROBLEMS = 300
 TORIC_SCAN_POINTS = 20_000
@@ -133,7 +131,7 @@ def test_oracle_catches_a_sweep_that_drops_a_pattern(monkeypatch):
     out = run_oracle(load_problem(doc))
     assert out["agree"] is False
     assert out["simplicial"] == out["cech"] != out["closed_form"]
-    result = CliRunner().invoke(cli.main, ["oracle", "-"], input=doc)
+    result = run_cli(["oracle", "-"], doc)
     assert result.exit_code == 4
 
 
@@ -147,7 +145,7 @@ def test_a_disagreeing_oracle_reports_the_closed_form_over_the_sweep(monkeypatch
     assert out["closed_form"]["dims"] == [5, 0, 0]
     assert out["closed_form_sweep"] == out["simplicial"] == out["cech"] != out["closed_form"]
     assert "first_mismatch" not in out
-    result = CliRunner().invoke(cli.main, ["oracle", "-"], input=doc)
+    result = run_cli(["oracle", "-"], doc)
     assert result.exit_code == 4
     assert "closed form over the sign-pattern sweep: (0, 0, 0)" in result.output
 
@@ -181,7 +179,7 @@ def test_oracle_catches_a_box_that_misses_a_weight(monkeypatch):
     assert out["agree"] is False
     assert out["closed_form"] == out["closed_form_sweep"] == {"dims": [2, 0, 0], "euler": 2}
     assert out["simplicial"] == out["cech"] == {"dims": [5, 0, 0], "euler": 5}
-    result = CliRunner().invoke(cli.main, ["oracle", "-"], input=doc)
+    result = run_cli(["oracle", "-"], doc)
     assert result.exit_code == 4
 
 
@@ -207,7 +205,7 @@ def test_first_mismatch_names_a_weight_whose_line_masks_are_wrong(monkeypatch):
     out = run_oracle(load_problem(doc))
     assert out["agree"] is False
     assert out["first_mismatch"] == {"weight": [-1, 0], "line_masks": [1, 0], "sign_masks": [0, 0]}
-    result = CliRunner().invoke(cli.main, ["oracle", "-"], input=doc)
+    result = run_cli(["oracle", "-"], doc)
     assert result.exit_code == 4
     assert "first failing weight: (-1, 0)" in result.output
     assert "line masks: (1, 0)" in result.output
