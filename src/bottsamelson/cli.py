@@ -9,16 +9,18 @@ for stdin):
   scan      vanishing reports over a grid of divisor coefficient vectors
   oracle    closed form vs simplicial vs Cech cross-check (N <= 4)
 
-Exit codes: 0 success, 2 invalid input, 3 over a capacity cap, 4 two
-routes disagree (oracle mismatch, or a certified vanishing the toric table
-contradicts). Output is human-readable text, or canonical JSON with --json.
+Exit codes: 0 success, 1 output pipe closed, 2 invalid input, 3 over a
+capacity cap, 4 two routes disagree (oracle mismatch, or a certified
+vanishing the toric table contradicts). Output is human-readable text, or
+canonical JSON with --json.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
-
-import click
+from pathlib import Path
 
 from . import __version__
 from .analysis import (
@@ -43,16 +45,29 @@ EXIT_MISMATCH = 4
 _CHUNK = 1 << 20  # characters per write of a report
 
 
-def _load_spec(file) -> ProblemSpec:
+def _cap(text: str) -> int:
     try:
-        text = file.read()
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"Invalid value for '--cap': {text!r} is not an integer of at least 1")
+
+
+def _load_spec(path: str) -> ProblemSpec:
+    try:
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        raise ProblemError(f"cannot read the problem file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ProblemError(f"cannot decode the problem file: {exc}") from exc
     return load_problem(text)
 
 
 def _fail(message: str, code: int):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr, flush=True)
     sys.exit(code)
 
 
@@ -68,12 +83,13 @@ def _guarded(fn):
 
 
 def _emit(doc: dict, as_json: bool, renderer):
-    # click.echo(text) would copy the whole text to add its newline, and the
+    # print(text) would copy the whole text to add its newline, and the
     # stream would encode that copy at once: a scan report runs to megabytes
     text = report_json(doc) if as_json else renderer(doc)
     for start in range(0, len(text), _CHUNK):
-        click.echo(text[start:start + _CHUNK], nl=False)
-    click.echo()
+        sys.stdout.write(text[start:start + _CHUNK])
+    sys.stdout.write("\n")
+    sys.stdout.flush()  # so that a closed pipe raises here, inside main
 
 
 def _fmt_vec(values) -> str:
@@ -185,81 +201,65 @@ def _render_oracle(doc: dict) -> str:
     return "\n".join(lines)
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="bottsamelson")
-@click.pass_context
-def main(ctx):
+_WITNESSES = {"--witnesses": "list concentrated weights"}
+
+# name -> (help, extra flags, run_* call on (spec, args), text renderer)
+_COMMANDS = {
+    "analyze": ("Vanishing certificates and degrees for a divisor (b = 0 only).",
+                {**_WITNESSES, "--no-toric": "skip the toric cohomology table"},
+                lambda spec, args: run_analyze(spec, with_toric=not args.no_toric,
+                                               collect_witnesses=args.witnesses, cap=args.cap),
+                _render_analyze),
+    "toric": ("Exact cohomology table on the toric degeneration.", _WITNESSES,
+              lambda spec, args: run_toric(spec, collect_witnesses=args.witnesses, cap=args.cap),
+              _render_toric),
+    "weights": ("Classify every weight in the weight box.", {},
+                lambda spec, args: run_weights(spec, cap=args.cap), _render_weights),
+    "scan": ("Vanishing reports over a grid of divisor coefficients.", {},
+             lambda spec, args: run_scan(spec, cap=args.cap), _render_scan),
+    "oracle": ("Cross-check closed form, simplicial and Cech computations.", {},
+               lambda spec, args: run_oracle(spec, cap=args.cap), _render_oracle),
+}
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser("bottsamelson", allow_abbrev=False, description=main.__doc__)
+    parser.add_argument("--version", action="version",
+                        version=f"bottsamelson, version {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, flags, _, _) in _COMMANDS.items():
+        command = commands.add_parser(name, help=summary, description=summary, allow_abbrev=False)
+        command.add_argument("file", help="problem JSON document, or '-' for stdin")
+        command.add_argument("--json", action="store_true", help="emit canonical JSON")
+        command.add_argument("--cap", type=_cap, default=DEFAULT_BOX_CAP, help=(
+            "maximum number of enumerated lattice points (default: %(default)s)"))
+        for flag, text in flags.items():
+            command.add_argument(flag, action="store_true", help=text)
+    return parser
+
+
+def main(argv=None):
     """Cohomology vanishing on Bott-Samelson varieties and Bott towers."""
     # Integers of any size are accepted, so lift the interpreter's int/str
     # digit limit (Python 3.10.7 and later) while a command runs.
-    if hasattr(sys, "set_int_max_str_digits"):
-        limit = sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-        ctx.call_on_close(lambda: sys.set_int_max_str_digits(limit))
-
-
-_file_argument = click.argument("file", type=click.File("r"))
-_json_flag = click.option("--json", "as_json", is_flag=True, help="emit canonical JSON")
-_cap_option = click.option(
-    "--cap", type=click.IntRange(min=1), default=DEFAULT_BOX_CAP, show_default=True,
-    help="maximum number of enumerated lattice points",
-)
-
-
-@main.command()
-@_file_argument
-@_json_flag
-@_cap_option
-@click.option("--witnesses", is_flag=True, help="list concentrated weights")
-@click.option("--no-toric", is_flag=True, help="skip the toric cohomology table")
-def analyze(file, as_json, cap, witnesses, no_toric):
-    """Vanishing certificates and degrees for a divisor (b = 0 only)."""
-    doc = _guarded(lambda: run_analyze(
-        _load_spec(file), with_toric=not no_toric, collect_witnesses=witnesses, cap=cap))
-    _emit(doc, as_json, _render_analyze)
-
-
-@main.command()
-@_file_argument
-@_json_flag
-@_cap_option
-@click.option("--witnesses", is_flag=True, help="list concentrated weights")
-def toric(file, as_json, cap, witnesses):
-    """Exact cohomology table on the toric degeneration."""
-    doc = _guarded(lambda: run_toric(_load_spec(file), collect_witnesses=witnesses, cap=cap))
-    _emit(doc, as_json, _render_toric)
-
-
-@main.command()
-@_file_argument
-@_json_flag
-@_cap_option
-def weights(file, as_json, cap):
-    """Classify every weight in the weight box."""
-    doc = _guarded(lambda: run_weights(_load_spec(file), cap=cap))
-    _emit(doc, as_json, _render_weights)
-
-
-@main.command()
-@_file_argument
-@_json_flag
-@_cap_option
-def scan(file, as_json, cap):
-    """Vanishing reports over a grid of divisor coefficients."""
-    doc = _guarded(lambda: run_scan(_load_spec(file), cap=cap))
-    _emit(doc, as_json, _render_scan)
-
-
-@main.command()
-@_file_argument
-@_json_flag
-@_cap_option
-def oracle(file, as_json, cap):
-    """Cross-check closed form, simplicial and Cech computations."""
-    doc = _guarded(lambda: run_oracle(_load_spec(file), cap=cap))
-    _emit(doc, as_json, _render_oracle)
-    if not doc["agree"]:
-        sys.exit(EXIT_MISMATCH)
+    try:
+        args = _parser().parse_args(argv)
+        _, _, run, renderer = _COMMANDS[args.command]
+        doc = _guarded(lambda: run(_load_spec(args.file), args))
+        _emit(doc, args.json, renderer)
+        if args.command == "oracle" and not doc["agree"]:
+            sys.exit(EXIT_MISMATCH)
+    except BrokenPipeError:
+        # the reader has gone: exit 1 with nothing on stderr, and point
+        # stdout at devnull so that the interpreter's last flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

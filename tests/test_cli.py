@@ -1,5 +1,7 @@
 import copy
 import json
+import os
+import subprocess
 import sys
 from functools import reduce
 from pathlib import Path
@@ -24,7 +26,13 @@ MIXED = json.dumps({
     "divisor": [-1, -1, 1, 0],
 })
 LINE = json.dumps({"cartan": [[2]], "word": [1], "divisor": [-2]})
-PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "demos" / "problems"
+# the environment of a CLI process: the package on its path, and stdout
+# buffered as in a plain shell
+ENV = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), ENV.get("PYTHONPATH")]))
+CLI = [sys.executable, "-m", "bottsamelson.cli"]
 
 
 def run(args, stdin=None):
@@ -198,6 +206,11 @@ def test_cap_below_one_is_a_usage_error(command, cap):
     assert "Invalid value for '--cap'" in result.stderr
 
 
+@pytest.mark.parametrize("flag", ["--js", "--wit", "--no-tor"])
+def test_abbreviated_flags_are_usage_errors(flag):
+    assert run(["analyze", flag, "-"], stdin=LINE).exit_code == 2
+
+
 def test_exit_code_for_oracle_mismatch(monkeypatch):
     # the honest computations always agree, so exercise the exit-code wiring
     # by stubbing the report the command renders
@@ -326,6 +339,48 @@ def test_every_command_keeps_the_exit_code_contract_on_mutated_demos(doc):
         if result.exit_code:
             assert result.stderr.startswith("error: "), (command, doc, result.output)
             assert "Traceback" not in result.output, (command, doc)
+
+
+def test_undecodable_stdin_of_a_real_process_is_an_input_error():
+    # a real stdin may decode with surrogateescape; the problem must not
+    problem = b"\xff" + (PROBLEMS / "analyze_rank3_tower.json").read_bytes()
+    done = subprocess.run([*CLI, "analyze", "-"], input=problem, capture_output=True,
+                          env=ENV, timeout=20)
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"error: cannot decode the problem file")
+
+
+B3_GRID = json.dumps({"cartan": {"type": "B", "rank": 3}, "word": [1, 2, 3, 2, 1],
+                      "scan": [[-2, 2]] * 5})
+
+
+@pytest.mark.parametrize("command, doc, keep", [
+    # the report of the 3,125-point grid outgrows the pipe, so the command
+    # is still writing when the reader leaves after 100 bytes
+    ("scan", B3_GRID, 100),
+    # the pipe closes before the command reads its problem: the small
+    # report waits in the stream's buffer, so the flush meets the closed
+    # pipe, and the interpreter's last flush must not meet it again
+    ("analyze", MIXED, 0),
+], ids=["while-writing", "before-writing"])
+def test_a_closed_output_pipe_exits_1_with_nothing_on_stderr(command, doc, keep):
+    proc = subprocess.Popen([*CLI, command, "--json", "-"], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV)
+    proc.stdin.write(doc.encode())
+    if not keep:
+        proc.stdout.close()
+    proc.stdin.close()
+    if keep:
+        assert len(proc.stdout.read(keep)) == keep
+        proc.stdout.close()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert proc.wait(timeout=20) == 1
+
+
+def test_importing_the_cli_loads_no_click():
+    probe = "import sys, bottsamelson.cli; sys.exit('click' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=ENV, timeout=20).returncode == 0
 
 
 @pytest.fixture
