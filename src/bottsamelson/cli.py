@@ -83,8 +83,8 @@ def _guarded(fn):
 
 
 def _emit(doc: dict, as_json: bool, renderer):
-    # print(text) would copy the whole text to add its newline, and the
-    # stream would encode that copy at once: a scan report runs to megabytes
+    # one write of the whole text would have the stream encode all of it in
+    # one copy, and a scan report runs to megabytes
     text = report_json(doc) if as_json else renderer(doc)
     for start in range(0, len(text), _CHUNK):
         sys.stdout.write(text[start:start + _CHUNK])

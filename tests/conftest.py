@@ -26,6 +26,7 @@ from bottsamelson import (
     Word,
     build_bott_data,
     cartan_of_type,
+    cli,
     weight_box,
 )
 
@@ -137,8 +138,6 @@ def run_cli(args, stdin: str | bytes | None = None) -> SimpleNamespace:
     """Run `bottsamelson ARGS` in this process with stdin from a str or
     bytes, read through a strict UTF-8 text stream. The result carries
     exit_code, stdout, stderr and output (both streams, interleaved)."""
-    from bottsamelson import cli
-
     data = stdin.encode("utf-8") if isinstance(stdin, str) else stdin or b""
     shared = io.StringIO()
     out, err = _Capture(shared), _Capture(shared)
